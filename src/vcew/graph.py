@@ -121,8 +121,8 @@ class MspDecomposition:
 
 
 def degree_sequence(g: Graph):
-    """Per-vertex degree list."""
-    return list(g.degrees)
+    """Degrees in non-increasing order (the textbook degree sequence)."""
+    return sorted(g.degrees, reverse=True)
 
 
 def is_connected(g: Graph) -> bool:
@@ -383,9 +383,18 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
+    return _backend.kernel.vertex_connectivity(g.n, *_csr_adjacency(g))
+
+
+def _csr_adjacency(g: Graph):
+    """Adjacency in CSR form ``(adj_start, adj_flat)``, the kernels' input.
+
+    The neighbors of v are ``adj_flat[adj_start[v]:adj_start[v + 1]]``,
+    in edge-id order.
+    """
     adj_start = [0]
     adj_flat = []
     for v in range(g.n):
         adj_flat.extend(u for u, _ in g.adjacency[v])
         adj_start.append(len(adj_flat))
-    return _backend.kernel.vertex_connectivity(g.n, adj_start, adj_flat)
+    return adj_start, adj_flat

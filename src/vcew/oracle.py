@@ -14,7 +14,14 @@ from enum import Enum
 from itertools import product as iproduct
 
 from . import _backend
-from .graph import Graph, GraphError, connected_components, induced_subgraph, is_connected
+from .graph import (
+    Graph,
+    GraphError,
+    _csr_adjacency,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 from .weighting import EdgeWeighting
 
 DEFAULT_K_MAX = 5  # best published general upper bound for connected graphs
@@ -83,12 +90,7 @@ def _bfs_edge_order(g: Graph):
 def _prep(g: Graph):
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    adj_start = [0]
-    adj_flat = []
-    for v in range(g.n):
-        adj_flat.extend(u for u, _ in g.adjacency[v])
-        adj_start.append(len(adj_flat))
-    return eu, ev, _bfs_edge_order(g), adj_start, adj_flat
+    return (eu, ev, _bfs_edge_order(g), *_csr_adjacency(g))
 
 
 def _constraint_arrays(g: Graph, k: int, cons: SearchConstraints):

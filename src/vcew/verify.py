@@ -145,13 +145,16 @@ def verify_product_composition() -> VerificationReport:
 def verify_product_connectivity(max_order: int = 36) -> VerificationReport:
     """Connectivity of cartesian products matches the closed formula."""
     report = VerificationReport("lemma-2.3")
-    pools = {n: enumerate_connected(n) for n in range(3, 9)}
+    # every factor has at least 3 vertices, so neither has more than
+    # max_order // 3
+    orders = range(3, min(8, max_order // 3) + 1)
+    pools = {n: enumerate_connected(n) for n in orders}
     kappa = {}
     for n, pool in pools.items():
         for i, g in enumerate(pool):
             kappa[(n, i)] = vertex_connectivity(g)
-    for ng in range(3, 9):
-        for nh in range(ng, 9):
+    for ng in orders:
+        for nh in range(ng, orders.stop):
             if ng * nh > max_order:
                 continue
             for i, g in enumerate(pools[ng]):

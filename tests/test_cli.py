@@ -13,6 +13,7 @@ from vcew.cli import (
 )
 from vcew.formats import parse_weighting
 from vcew.graph import Graph
+from vcew.verify import run_sweep
 from vcew.weighting import is_proper
 
 
@@ -130,6 +131,13 @@ def test_verify_with_narrowed_sweep(capsys):
     )
     assert code == EXIT_OK
     assert "failures=0" in out
+
+
+def test_verify_lemma_23_narrowed_to_small_products():
+    # 3 x 3 products only: the sweep must not enumerate larger pools
+    report = run_sweep("lemma-2.3", max_vertices=9)
+    assert report.ok
+    assert report.instances == 3
 
 
 def test_verify_unknown_theorem(capsys):

@@ -1,3 +1,7 @@
+import itertools
+import random
+from collections import deque
+
 import pytest
 
 from vcew.graph import (
@@ -15,7 +19,14 @@ from vcew.graph import (
     maximal_simple_paths,
     vertex_connectivity,
 )
-from vcew.families import clique_graph, cycle_graph, hypercube_graph, path_graph, theta_graph
+from vcew.families import (
+    clique_graph,
+    cycle_graph,
+    enumerate_connected,
+    hypercube_graph,
+    path_graph,
+    theta_graph,
+)
 
 
 def test_edges_normalized_and_ids_stable():
@@ -37,6 +48,7 @@ def test_degree_sequence_and_handshake():
     g = theta_graph([2, 2, 2])
     assert sum(g.degrees) == 2 * g.m
     assert degree_sequence(g) == sorted(g.degrees, reverse=True)
+    assert degree_sequence(Graph(4, [(0, 1), (1, 2), (1, 3)])) == [3, 1, 1, 1]
 
 
 def test_connectivity_predicates():
@@ -139,3 +151,61 @@ def test_vertex_connectivity_values():
     assert vertex_connectivity(hypercube_graph(3)) == 3
     assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
     assert vertex_connectivity(theta_graph([2, 2, 2])) == 2
+
+
+def _brute_force_kappa(g):
+    """Smallest vertex set whose removal disconnects g, else n - 1.
+
+    Shares no code with the flow kernel: plain BFS over edge lists.
+    """
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def connected_without(cut):
+        rest = [v for v in range(g.n) if v not in cut]
+        seen = {rest[0]}
+        queue = deque([rest[0]])
+        while queue:
+            for u in nbrs[queue.popleft()]:
+                if u not in cut and u not in seen:
+                    seen.add(u)
+                    queue.append(u)
+        return len(seen) == len(rest)
+
+    for size in range(g.n - 1):
+        for cut in itertools.combinations(range(g.n), size):
+            if not connected_without(set(cut)):
+                return size
+    return g.n - 1
+
+
+def _product_sample(max_order, count, seed):
+    rng = random.Random(seed)
+    pools = {n: enumerate_connected(n) for n in range(3, min(7, max_order // 3) + 1)}
+    orders = [(a, b) for a in pools for b in pools if a <= b and a * b <= max_order]
+    return [
+        cartesian_product(rng.choice(pools[a]), rng.choice(pools[b]))
+        for a, b in (rng.choice(orders) for _ in range(count))
+    ]
+
+
+def test_vertex_connectivity_matches_brute_force_on_pools():
+    for n in range(3, 8):
+        for g in enumerate_connected(n):
+            assert vertex_connectivity(g) == _brute_force_kappa(g), g.edges
+
+
+def test_vertex_connectivity_matches_brute_force_on_products():
+    for prod in _product_sample(16, 200, seed=2012):
+        assert vertex_connectivity(prod) == _brute_force_kappa(prod), prod.edges
+
+
+def test_vertex_connectivity_matches_networkx_on_products():
+    nx = pytest.importorskip("networkx")
+    for prod in _product_sample(36, 150, seed=2013):
+        ref = nx.Graph()
+        ref.add_nodes_from(range(prod.n))
+        ref.add_edges_from(prod.edges)
+        assert vertex_connectivity(prod) == nx.node_connectivity(ref), prod.edges
