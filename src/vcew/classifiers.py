@@ -267,7 +267,9 @@ def mu_upper_bound(g: Graph) -> BoundCertificate:
                 2, "no-single-edge-msp", "no maximal simple path is a single edge"
             )
 
-    if _three_colorable(g):
-        return BoundCertificate(3, "three-colorable", "proper 3-coloring exists")
-
-    return BoundCertificate(5, "five-bound", "general bound for connected graphs")
+    return BoundCertificate(
+        3,
+        "keusch-2024",
+        "every connected graph on at least three vertices has mu <= 3 "
+        "(Keusch, JCTB 166, 2024)",
+    )

@@ -23,7 +23,7 @@ from .constructors import (
     multipartite_weighting,
     product_weighting,
 )
-from .families import FamilyError, make
+from .families import FamilyError, make, split_product_spec
 from .formats import FormatError, format_weighting, parse_edge_list
 from .graph import (
     Graph,
@@ -87,7 +87,13 @@ def _cmd_mu(args) -> int:
     try:
         mu = mu_exact(g, k_max=args.kmax, force=args.force)
     except NotFoundWithinCap as exc:
-        raise CliError(EXIT_CAP, f"POTENTIAL COUNTEREXAMPLE TO THE 5-BOUND: {exc}")
+        if args.kmax >= 3:
+            raise CliError(
+                EXIT_CAP,
+                "POTENTIAL COUNTEREXAMPLE TO THE 1-2-3 THEOREM "
+                f"(mu <= 3, Keusch 2024): {exc}",
+            )
+        raise CliError(EXIT_CAP, f"mu exceeds --kmax {args.kmax}: {exc}")
     except SearchGuardError as exc:
         raise CliError(EXIT_CAP, str(exc))
     except GraphError as exc:
@@ -112,25 +118,16 @@ def _weight_by_method(args, g: Graph):
             raise CliError(EXIT_CAP, f"no proper {k}-weighting exists")
         return g, w
     if method == "product":
-        spec = "".join(args.source.split())
-        if not spec.startswith("product("):
+        try:
+            factors = split_product_spec("".join(args.source.split()))
+        except FamilyError as exc:
+            raise CliError(EXIT_PARSE, f"bad product spec {args.source!r}: {exc}")
+        if factors is None:
             raise CliError(
                 EXIT_PRECONDITION,
                 "method 'product' needs a product(spec,spec) source",
             )
-        inner = spec[len("product("):-1]
-        depth = 0
-        split = None
-        for i, ch in enumerate(inner):
-            depth += ch == "("
-            depth -= ch == ")"
-            if ch == "," and depth == 0:
-                split = i
-                break
-        if split is None:
-            raise CliError(EXIT_PARSE, f"bad product spec {args.source!r}")
-        ga = load_graph(inner[:split])
-        gb = load_graph(inner[split + 1:])
+        ga, gb = (load_graph(f) for f in factors)
         wa = find_weighting(ga, mu_exact(ga))
         wb = find_weighting(gb, mu_exact(gb))
         return cartesian_product(ga, gb), product_weighting(ga, wa, gb, wb)

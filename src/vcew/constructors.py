@@ -344,15 +344,16 @@ def _block_walk(g: Graph, blk, start):
 def cycle_block_weighting(g: Graph) -> EdgeWeighting:
     """Proper 2-weighting of a connected graph whose blocks are all cycles.
 
-    Each block is traversed from its attachment cut vertex (the root
-    block from its smallest cut vertex, or smallest vertex for a lone
-    cycle) and weighted 2,2,1,1 periodically.  A vertex's color is its
-    pattern base in the one block it does not start plus a fixed
-    first-plus-last contribution from every block it starts, so properness
-    on a block's edges depends only on that block's traversal direction
-    once its parent's is fixed; the directions are chosen by a
-    deterministic backtracking pass (forward preferred).  A lone cycle
-    must have length divisible by 4.
+    Each block is walked from its attachment cut vertex (the root block
+    from its smallest cut vertex, or smallest vertex for a lone cycle)
+    and weighted with the periodic pattern 2,2,1,1, forward or backward;
+    only if no combination of directions is proper may the pattern start
+    at any of its four phases.  A deterministic backtracking search picks
+    the blocks' weightings in breadth-first block order, forward first,
+    and checks an edge once every block at its two ends is weighted.  A
+    lone cycle must have length divisible by 4; a graph that no choice
+    weights properly (such as a triangle with a triangle hung at each of
+    its vertices, whose mu is 3) raises ClaimFailure.
     """
     if not is_connected(g) or g.m == 0:
         raise PreconditionError("need a connected graph with edges")
@@ -391,53 +392,63 @@ def cycle_block_weighting(g: Graph) -> EdgeWeighting:
                     queue.append(nbid)
 
     pat = _PATTERN["2211"]
-    # direction-independent contribution at the start of every block
-    ext = [0] * g.n
-    for bid, blk in enumerate(decomp.blocks):
-        ext[start_of[bid]] += pat[0] + pat[(len(blk) - 1) % 4]
-
-    # per block, both traversal directions: (edge weights, non-start bases)
+    # per block, its distinct pattern weightings, as (edge weights, color
+    # contribution per vertex): forward and backward from the start
+    # first (``n_dirs`` of them), then the other phases
     options = []
+    n_dirs = []
     for bid, blk in enumerate(decomp.blocks):
-        seq_e, seq_v = _block_walk(g, blk, start_of[bid])
-        length = len(blk)
+        seq_e, _ = _block_walk(g, blk, start_of[bid])
+        variants = []
+        for shift in range(4):
+            for walk in (seq_e, seq_e[::-1]):
+                ew = {e: pat[(i + shift) % 4] for i, e in enumerate(walk)}
+                if ew not in variants:
+                    variants.append(ew)
+            if shift == 0:
+                n_dirs.append(len(variants))
         dirs = []
-        for rev in (False, True):
-            edges_in_order = seq_e[::-1] if rev else seq_e
-            ew = {e: pat[i % 4] for i, e in enumerate(edges_in_order)}
-            base = {
-                seq_v[i]: ew[seq_e[i - 1]] + ew[seq_e[i]]
-                for i in range(1, length)
-            }
-            dirs.append((ew, base))
+        for ew in variants:
+            contrib = {}
+            for e, wt in ew.items():
+                for v in g.edges[e]:
+                    contrib[v] = contrib.get(v, 0) + wt
+            dirs.append((ew, contrib))
         options.append(dirs)
 
-    base_chosen = {}
+    # ready[i]: the edges whose end colors are final once block order[i]
+    # is weighted
+    last = [0] * g.n
+    for i, bid in enumerate(order):
+        for v in block_vertices[bid]:
+            last[v] = i
+    ready = [[] for _ in order]
+    for x, y in g.edges:
+        ready[max(last[x], last[y])].append((x, y))
+
+    color = [0] * g.n
     chosen = [None] * len(decomp.blocks)
 
-    def assign(i):
+    def assign(i, all_phases):
         if i == len(order):
             return True
         bid = order[i]
-        for ew, base in options[bid]:
-            base_chosen.update(base)
-            proper = all(
-                ext[x] + base_chosen.get(x, 0) != ext[y] + base_chosen.get(y, 0)
-                for eid in decomp.blocks[bid]
-                for x, y in (g.edges[eid],)
-            )
-            if proper:
+        dirs = options[bid] if all_phases else options[bid][: n_dirs[bid]]
+        for ew, contrib in dirs:
+            for v, c in contrib.items():
+                color[v] += c
+            if all(color[x] != color[y] for x, y in ready[i]):
                 chosen[bid] = ew
-                if assign(i + 1):
+                if assign(i + 1, all_phases):
                     return True
-            for v in base:
-                del base_chosen[v]
+            for v, c in contrib.items():
+                color[v] -= c
         return False
 
-    if not assign(0):
+    if not (assign(0, False) or assign(0, True)):
         raise ClaimFailure(
-            "no traversal orientation of the cycle blocks yields a proper "
-            "2,2,1,1 pattern weighting"
+            "no direction or phase of the 2,2,1,1 pattern on the cycle "
+            "blocks yields a proper weighting"
         )
     weights = [0] * g.m
     for ew in chosen:

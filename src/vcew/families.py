@@ -184,20 +184,28 @@ def make(spec: str) -> Graph:
     return _parse_spec("".join(spec.split()))
 
 
+def split_product_spec(s: str):
+    """The factor specs ``(A, B)`` of a whitespace-free ``product(A,B)``
+    spec, split at the comma outside all parentheses; None when ``s`` is
+    not a product spec.  Raises FamilyError when there is no such comma."""
+    if not (s.startswith("product(") and s.endswith(")")):
+        return None
+    inner = s[len("product("):-1]
+    depth = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return inner[:i], inner[i + 1:]
+    raise FamilyError(f"product spec needs two comma-separated factors: {s!r}")
+
+
 def _parse_spec(s: str) -> Graph:
-    if s.startswith("product(") and s.endswith(")"):
-        inner = s[len("product("):-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return cartesian_product(
-                    _parse_spec(inner[:i]), _parse_spec(inner[i + 1:])
-                )
-        raise FamilyError(f"product spec needs two comma-separated factors: {s!r}")
+    factors = split_product_spec(s)
+    if factors is not None:
+        return cartesian_product(_parse_spec(factors[0]), _parse_spec(factors[1]))
     if ":" not in s:
         raise FamilyError(f"unparseable family spec {s!r}")
     name, _, argstr = s.partition(":")

@@ -47,15 +47,18 @@ class Graph:
             adjacency[v].append((u, eid))
         self.n = n
         self.edges = tuple(norm)
-        self.adjacency = tuple(tuple(a) for a in adjacency)
-        self.degrees = tuple(len(a) for a in adjacency)
+        # tuples from lists, not generators: a generator's tuple is
+        # allocated at a guessed size and resized, which bypasses and then
+        # overfills the interpreter's per-size tuple free lists
+        self.adjacency = tuple([tuple(a) for a in adjacency])
+        self.degrees = tuple([len(a) for a in adjacency])
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def neighbors(self, v: int):
-        return tuple(u for u, _ in self.adjacency[v])
+        return tuple([u for u, _ in self.adjacency[v]])
 
     def has_edge(self, u: int, v: int) -> bool:
         return any(x == v for x, _ in self.adjacency[u])
@@ -81,7 +84,7 @@ class Bipartition:
     side: tuple
 
     def part(self, label: str):
-        return tuple(v for v, s in enumerate(self.side) if s == label)
+        return tuple([v for v, s in enumerate(self.side) if s == label])
 
 
 @dataclass(frozen=True)

@@ -106,17 +106,17 @@ def test_rule_engine_order():
     # non-bipartite theta with all path lengths >= 2
     msp = mu_upper_bound(theta_graph([2, 2, 3]))
     assert (msp.bound, msp.rule) == (2, "no-single-edge-msp")
-    three = mu_upper_bound(cycle_graph(5))
-    assert (three.bound, three.rule) == (3, "three-colorable")
-    five = mu_upper_bound(clique_graph(4))
-    assert (five.bound, five.rule) == (5, "five-bound")
+    # every remaining connected graph: mu <= 3 (Keusch 2024)
+    for g in (cycle_graph(5), clique_graph(4), clique_graph(7)):
+        cert = mu_upper_bound(g)
+        assert (cert.bound, cert.rule) == (3, "keusch-2024")
 
 
 def test_rule_engine_bad_cycles_skip_msp_rule():
     # C6 is bipartite with even parts, but a non-4-divisible cycle must
     # not reach the pattern rule; strip bipartiteness with C7
     cert = mu_upper_bound(cycle_graph(7))
-    assert cert.rule == "three-colorable"
+    assert cert.rule == "keusch-2024"
     assert cert.bound == 3 == mu_exact(cycle_graph(7))
 
 

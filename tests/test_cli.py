@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from vcew import cli
 from vcew.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -13,6 +14,7 @@ from vcew.cli import (
 )
 from vcew.formats import parse_weighting
 from vcew.graph import Graph
+from vcew.oracle import NotFoundWithinCap
 from vcew.verify import run_sweep
 from vcew.weighting import is_proper
 
@@ -35,7 +37,19 @@ def test_mu_command(capsys):
 def test_mu_cap_exceeded(capsys):
     code, _, err = run(capsys, "mu", "theta:1,5,5", "--kmax", "2")
     assert code == EXIT_CAP
-    assert "POTENTIAL COUNTEREXAMPLE" in err
+    assert "mu exceeds --kmax 2" in err
+    assert "COUNTEREXAMPLE" not in err
+
+
+def test_mu_beyond_three_is_a_counterexample(capsys, monkeypatch):
+    # mu <= 3 is a theorem (Keusch 2024); only a search fault gets here
+    def no_weighting(*args, **kwargs):
+        raise NotFoundWithinCap("no proper weighting with k <= 5")
+
+    monkeypatch.setattr(cli, "mu_exact", no_weighting)
+    code, _, err = run(capsys, "mu", "cycle:5")
+    assert code == EXIT_CAP
+    assert "POTENTIAL COUNTEREXAMPLE TO THE 1-2-3 THEOREM" in err
 
 
 def test_mu_rejects_tiny_graph(capsys):
@@ -69,6 +83,18 @@ def test_weight_product(capsys):
     assert w.k == 2
 
 
+def test_weight_product_malformed_spec(capsys, tmp_path, monkeypatch):
+    for bad in ("product(path:3)", "product(path:3,path:4"):
+        code, _, err = run(capsys, "weight", bad, "--method", "product")
+        assert code == EXIT_PARSE, bad
+    # a graph file whose name is a product spec without a top-level comma
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "product(path:3)").write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    code, _, err = run(capsys, "weight", "product(path:3)", "--method", "product")
+    assert code == EXIT_PARSE
+    assert "bad product spec" in err
+
+
 def test_weight_bipk2(capsys):
     code, out, _ = run(capsys, "weight", "cycle:6", "--method", "bipk2")
     assert code == EXIT_OK
@@ -88,6 +114,22 @@ def test_weight_cycle_blocks(capsys):
     code, out, _ = run(capsys, "weight", "cycle:8", "--method", "cycle-blocks")
     assert code == EXIT_OK
     assert out.splitlines()[0] == "2 8"
+
+
+def test_weight_cycle_blocks_shifted_phase(capsys, tmp_path):
+    # two 4-cycles on adjacent vertices of a 6-cycle: mu = 2, and the
+    # construction must find a proper 2-weighting, not report a failure
+    path = tmp_path / "cactus.edges"
+    path.write_text(
+        "12 14\n0 1\n1 2\n2 3\n0 3\n0 4\n4 5\n5 6\n6 7\n7 8\n0 8\n"
+        "4 9\n9 10\n10 11\n4 11\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "weight", str(path), "--method", "cycle-blocks")
+    assert (code, err) == (EXIT_OK, "")
+    edges, w = parse_weighting(out)
+    assert w.k == 2
+    assert is_proper(Graph(12, edges), w)
 
 
 def test_weight_msp_variants(capsys):
@@ -209,3 +251,28 @@ def test_console_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0] == "mu=1"
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    # each command prints in one process, after the others, what it
+    # prints when it is the first command of a fresh process
+    commands = [
+        ["weight", "theta:2,2,2", "--method", "dominant", "--vertex", "0"],
+        ["weight", "theta:2,2,2", "--method", "dominant"],
+        ["mu", "theta:2,2,2"],
+        ["verify", "--theorem", "thm-1.3"],
+    ]
+
+    def stable(out):
+        return [line for line in out.splitlines() if not line.startswith("seconds=")]
+
+    for argv in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "vcew.cli", *argv], capture_output=True, text=True
+        )
+        code, out, err = run(capsys, *argv)
+        assert (code, stable(out), err) == (
+            fresh.returncode,
+            stable(fresh.stdout),
+            fresh.stderr,
+        ), argv

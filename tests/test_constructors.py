@@ -141,6 +141,21 @@ def test_cycle_block_shared_vertex_colors():
     assert all(colors[u] <= 4 for u in g.neighbors(0))
 
 
+def test_cycle_block_needs_a_shifted_phase():
+    # two 4-cycles hung on adjacent vertices 0 and 4 of a 6-cycle
+    # (mu = 2): with the pattern starting 2,2 on every block, 0 and 4
+    # both get color 7 whichever way the blocks are walked, so the
+    # 4-cycle at 4 must start at another phase of 2,2,1,1
+    g = Graph(12, [
+        (0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (6, 7),
+        (7, 8), (0, 8), (4, 9), (9, 10), (10, 11), (4, 11),
+    ])
+    assert mu_exact(g) == 2
+    w = cycle_block_weighting(g)
+    assert w.k == 2
+    assert is_proper(g, w)
+
+
 def test_cycle_block_reports_genuine_failures():
     # a triangle carrying a pendant triangle at each of its vertices has
     # no proper 2-weighting at all (mu = 3, confirmed by exhaustive

@@ -1,8 +1,18 @@
+import itertools
+import random
+
 import pytest
 
 import vcew._backend as backend
 import vcew._kernel_py as kernel_py
-from vcew.families import clique_graph, cycle_graph, path_graph, theta_graph
+from vcew.families import (
+    clique_graph,
+    cycle_graph,
+    enumerate_connected,
+    make,
+    path_graph,
+    theta_graph,
+)
 from vcew.graph import Graph, GraphError
 from vcew.oracle import (
     EndEdgeBehavior,
@@ -144,3 +154,109 @@ def test_end_edge_behavior_trichotomy():
     assert end_edge_behavior(8) is EndEdgeBehavior.FREE
     with pytest.raises(ValueError):
         end_edge_behavior(3)
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference: plain enumeration of weight vectors in
+# lexicographic order, properness from recomputed vertex sums; it shares
+# no code with the search kernel
+
+
+def _brute_first(n, edges, k, pins=None, parity=None):
+    """First weight vector in ``product(range(1, k + 1), repeat=m)`` that
+    is proper, carries ``pins`` (edge id -> weight) and gives each vertex
+    in ``parity`` (vertex -> 0 even / 1 odd) a sum of that parity."""
+    pins = pins or {}
+    parity = parity or {}
+    for ws in itertools.product(range(1, k + 1), repeat=len(edges)):
+        if any(ws[e] != wt for e, wt in pins.items()):
+            continue
+        sums = [0] * n
+        for (u, v), wt in zip(edges, ws):
+            sums[u] += wt
+            sums[v] += wt
+        if any(sums[v] % 2 != p for v, p in parity.items()):
+            continue
+        if all(sums[u] != sums[v] for u, v in edges):
+            return ws
+    return None
+
+
+def _small_pool():
+    """Every connected graph on 3..6 vertices with at most 10 edges, and
+    a seeded copy of each with its vertices relabelled and its edges
+    reordered, so that edge-id order and BFS order differ."""
+    rng = random.Random(1205)
+    pool = []
+    for n in range(3, 7):
+        for g in enumerate_connected(n):
+            if g.m > 10:
+                continue
+            perm = rng.sample(range(n), n)
+            edges = [(perm[u], perm[v]) for u, v in g.edges]
+            rng.shuffle(edges)
+            pool += [g, Graph(n, edges)]
+    return pool
+
+
+def test_mu_and_witness_match_brute_force_on_pools():
+    pool = _small_pool()
+    assert len(pool) == 2 * (2 + 6 + 21 + 94)
+    for g in pool:
+        k, first = 1, None
+        while first is None:
+            first = _brute_first(g.n, g.edges, k)
+            k += 1
+        mu = k - 1
+        assert mu_exact(g) == mu, g.edges
+        assert find_weighting(g, mu).weights == first, g.edges
+
+
+def test_constrained_witness_matches_brute_force_on_pools():
+    rng = random.Random(2012)
+    for g in _small_pool():
+        for k in (2, 3):
+            pins = {
+                e: rng.randint(1, k) for e in rng.sample(range(g.m), rng.randint(1, 2))
+            }
+            parity = {v: rng.randint(0, 1) for v in rng.sample(range(g.n), rng.randint(0, 2))}
+            cons = SearchConstraints(
+                fixed_weights=pins,
+                parity={v: "odd" if p else "even" for v, p in parity.items()},
+            )
+            want = _brute_first(g.n, g.edges, k, pins, parity)
+            got = find_weighting(g, k, cons)
+            assert (got.weights if got else None) == want, (g.edges, k, pins, parity)
+            assert has_weighting(g, k, cons) == (want is not None)
+
+
+def _count_searches(monkeypatch):
+    calls = [0]
+    search = backend.kernel.search_weighting
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(backend.kernel, "search_weighting", counted)
+    return calls
+
+
+def test_find_weighting_searches_no_more_than_per_weight_rescans(monkeypatch):
+    # pinning each edge by trying 1, 2, ... until a search succeeds makes
+    # 1 + (final weight) searches per free edge summed, counting the first
+    # existence search once; reusing the last completion must never make
+    # more, and saves one search on every edge whose final weight that
+    # completion already carries
+    graphs = [theta_graph(t) for t in ([2, 3, 4], [1, 5, 5], [3, 3, 3, 3])]
+    graphs += [cycle_graph(n) for n in (5, 8, 11)]
+    graphs += [make("product(cycle:4,cycle:5)"), make("product(clique:4,path:4)")]
+    below = 0
+    for g in graphs:
+        k = mu_exact(g)
+        calls = _count_searches(monkeypatch)
+        w = find_weighting(g, k)
+        rescans = 1 + sum(w.weights)
+        assert calls[0] <= rescans, (g.edges, calls[0], rescans)
+        below += calls[0] < rescans
+    assert below > 0
