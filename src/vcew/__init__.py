@@ -1,6 +1,5 @@
 """Vertex-coloring edge-weightings: exact mu, constructions, classifiers."""
 
-from ._backend import backend_name
 from .classifiers import (
     BoundCertificate,
     mu_gpt,

@@ -148,28 +148,6 @@ def mu_gpt(p: GptParams) -> int:
 # rule engine
 
 
-def _three_colorable(g: Graph) -> bool:
-    # exact backtracking, highest-degree-first order
-    order = sorted(range(g.n), key=lambda v: -g.degrees[v])
-    pos = {v: i for i, v in enumerate(order)}
-    color = [-1] * g.n
-
-    def bt(i):
-        if i == g.n:
-            return True
-        v = order[i]
-        banned = {color[u] for u, _ in g.adjacency[v] if pos[u] < i}
-        for c in range(3):
-            if c not in banned:
-                color[v] = c
-                if bt(i + 1):
-                    return True
-        color[v] = -1
-        return False
-
-    return bt(0)
-
-
 def _dominant_vertex(g: Graph):
     for v in range(g.n):
         nbrs = g.neighbors(v)

@@ -33,6 +33,7 @@ from .graph import (
     maximal_simple_paths,
 )
 from .oracle import (
+    DEFAULT_K_MAX,
     NotFoundWithinCap,
     SearchGuardError,
     find_weighting,
@@ -52,20 +53,6 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _thread_cap() -> int:
-    """Worker cap from VCEW_THREADS (sweeps currently run sequentially)."""
-    raw = os.environ.get("VCEW_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"VCEW_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise CliError(EXIT_PARSE, "VCEW_THREADS must be positive")
-    return cap
 
 
 def load_graph(source: str) -> Graph:
@@ -246,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mu = sub.add_parser("mu", help="exact mu and a canonical witness")
     p_mu.add_argument("source", help="edge-list file or family spec")
-    p_mu.add_argument("--kmax", type=int, default=5)
+    p_mu.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
     p_mu.add_argument("--force", action="store_true", help="override size guards")
     p_mu.set_defaults(fn=_cmd_mu)
 
@@ -289,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _thread_cap()
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

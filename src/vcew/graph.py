@@ -378,15 +378,112 @@ def vertex_connectivity(g: Graph) -> int:
     min-degree vertex and its non-neighbors, plus non-adjacent pairs of
     its neighbors.
     """
-    from . import _backend
-
     if g.n <= 1:
         return 0
     if not is_connected(g):
         return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
-    return _backend.kernel.vertex_connectivity(g.n, *_csr_adjacency(g))
+    return _flow_connectivity(g.n, *_csr_adjacency(g))
+
+
+def _flow_connectivity(n, adj_start, adj_flat):
+    """Vertex connectivity of a connected non-complete graph.
+
+    Max-flow with unit vertex capacities from a fixed min-degree vertex
+    to each of its non-neighbors and between non-adjacent pairs of its
+    neighbors (Esfahanian--Hakimi), each flow cut off at the current
+    best value.
+
+    The node-split network is built once per call: vertex v becomes an
+    in-node v and an out-node v + n joined by arc 2v, adjacency slot i
+    (v -> u) becomes arc 2n + 2i from v + n to u, and arc a ^ 1 is the
+    residual of arc a.  Every arc has capacity 1: with s and t
+    non-adjacent, conservation at the unit split arcs keeps any
+    feasible flow at most 1 on every arc.  For each s-t pair the
+    capacities are reset by copying one template, the flow starts from
+    the paths s -> x -> t through common neighbors x (vertex-disjoint,
+    so a feasible flow), and BFS augmenting paths over preallocated
+    parent and queue lists, each stopping as soon as it reaches t, grow
+    it to the maximum or the cutoff.
+    """
+    nn = 2 * n
+    neighbors = [
+        frozenset(adj_flat[adj_start[v]:adj_start[v + 1]]) for v in range(n)
+    ]
+    v0 = min(range(n), key=lambda v: adj_start[v + 1] - adj_start[v])
+    best = adj_start[v0 + 1] - adj_start[v0]
+    pairs = [(v0, t) for t in range(n) if t != v0 and t not in neighbors[v0]]
+    nb = sorted(neighbors[v0])
+    for i in range(len(nb)):
+        for j in range(i + 1, len(nb)):
+            if nb[j] not in neighbors[nb[i]]:
+                pairs.append((nb[i], nb[j]))
+
+    head = [0] * (nn + 2 * len(adj_flat))
+    for v in range(n):
+        head[2 * v] = v + n
+        head[2 * v + 1] = v
+        for i in range(adj_start[v], adj_start[v + 1]):
+            head[nn + 2 * i] = adj_flat[i]
+            head[nn + 2 * i + 1] = v + n
+    # links[x]: (arc, head) for every arc leaving node x
+    links = [[] for _ in range(nn)]
+    for a, y in enumerate(head):
+        links[head[a ^ 1]].append((a, y))
+    # slot[x][t]: the arc from out-node x to in-node t
+    slot = [
+        {adj_flat[i]: nn + 2 * i for i in range(adj_start[v], adj_start[v + 1])}
+        for v in range(n)
+    ]
+    template = [1, 0] * (n + len(adj_flat))
+    unseen = [-1] * nn
+    parent = [-1] * nn
+    queue = [0] * nn
+
+    for s, t in pairs:
+        if best == 0:
+            break
+        cap = template[:]
+        src = s + n
+        snk = t
+        flow = 0
+        nbrs_t = neighbors[t]
+        for i in range(adj_start[s], adj_start[s + 1]):
+            if flow == best:
+                break
+            x = adj_flat[i]
+            if x in nbrs_t:
+                for a in (nn + 2 * i, 2 * x, slot[x][t]):
+                    cap[a] = 0
+                    cap[a ^ 1] = 1
+                flow += 1
+        while flow < best:
+            parent[:] = unseen
+            parent[src] = 0  # any mark: the walk back stops at src
+            queue[0] = src
+            qh, qt = 0, 1
+            while qh < qt and parent[snk] < 0:
+                x = queue[qh]
+                qh += 1
+                for a, y in links[x]:
+                    if cap[a] and parent[y] < 0:
+                        parent[y] = a
+                        if y == snk:
+                            break
+                        queue[qt] = y
+                        qt += 1
+            if parent[snk] < 0:
+                break
+            x = snk
+            while x != src:
+                a = parent[x]
+                cap[a] = 0
+                cap[a ^ 1] = 1
+                x = head[a ^ 1]
+            flow += 1
+        best = min(best, flow)
+    return best
 
 
 def _csr_adjacency(g: Graph):

@@ -6,7 +6,8 @@ edge id, then weight value) proper weighting under optional constraints;
 enumerates every proper 2-weighting of a path and classifies what the
 two end-edges may carry.
 
-Every search is an existence search by the backtracking kernel.  It
+Every search is an existence search by the backtracking kernel
+``_search``.  It
 assigns the pinned edges first, in ascending edge id, then the free
 edges in BFS order from vertex 0, so that a vertex saturates (has all
 its edges assigned) early and conflicts prune high in the tree.  With no
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iproduct
 
-from . import _backend
 from .graph import (
     Graph,
     GraphError,
@@ -144,15 +144,99 @@ def _check_search_pre(g: Graph, k: int, force: bool):
             )
 
 
+def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat):
+    """Backtracking search for a proper edge weighting.
+
+    Edges are assigned in ``order``; weight values are tried in
+    ascending order, so the first hit is the lexicographically smallest
+    weighting with respect to ``order``.  A partial assignment is pruned
+    as soon as a vertex with all incident edges assigned conflicts with
+    a saturated neighbor or violates its parity constraint.
+
+    fixed[e] > 0 pins edge e to that weight; parity[v] in {-1, 0, 1}
+    requires no constraint / an even color / an odd color at v.
+
+    Returns a per-edge-id weight list, or None.
+    """
+    if m == 0:
+        return []
+    w = [0] * m
+    rem = [adj_start[v + 1] - adj_start[v] for v in range(n)]
+    csum = [0] * n
+    cur = [0] * m
+
+    def saturated_ok(x):
+        cx = csum[x]
+        if parity[x] >= 0 and (cx & 1) != parity[x]:
+            return False
+        for i in range(adj_start[x], adj_start[x + 1]):
+            y = adj_flat[i]
+            if rem[y] == 0 and csum[y] == cx:
+                return False
+        return True
+
+    def try_assign(e, wt):
+        u = eu[e]
+        v = ev[e]
+        w[e] = wt
+        csum[u] += wt
+        csum[v] += wt
+        rem[u] -= 1
+        rem[v] -= 1
+        if (rem[u] == 0 and not saturated_ok(u)) or (
+            rem[v] == 0 and not saturated_ok(v)
+        ):
+            w[e] = 0
+            csum[u] -= wt
+            csum[v] -= wt
+            rem[u] += 1
+            rem[v] += 1
+            return False
+        return True
+
+    pos = 0
+    while True:
+        e = order[pos]
+        prev = cur[pos]
+        if prev:
+            u = eu[e]
+            v = ev[e]
+            w[e] = 0
+            csum[u] -= prev
+            csum[v] -= prev
+            rem[u] += 1
+            rem[v] += 1
+        f = fixed[e]
+        chosen = 0
+        if f:
+            if prev == 0 and try_assign(e, f):
+                chosen = f
+        else:
+            wt = prev + 1
+            while wt <= k:
+                if try_assign(e, wt):
+                    chosen = wt
+                    break
+                wt += 1
+        if chosen:
+            cur[pos] = chosen
+            pos += 1
+            if pos == m:
+                return list(w)
+        else:
+            cur[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return None
+
+
 def _exists(g: Graph, k: int, fixed, parity, prep):
     # pinned edges first: the pinned prefix is one linear pass, and every
     # vertex saturates no later among the free edges than in BFS order
     eu, ev, bfs, adj_start, adj_flat = prep
     pinned = [e for e in range(g.m) if fixed[e]]
     order = pinned + [e for e in bfs if not fixed[e]] if pinned else bfs
-    return _backend.kernel.search_weighting(
-        g.n, g.m, eu, ev, order, k, fixed, parity, adj_start, adj_flat
-    )
+    return _search(g.n, g.m, eu, ev, order, k, fixed, parity, adj_start, adj_flat)
 
 
 def find_weighting(

@@ -224,23 +224,19 @@ def test_bad_file(capsys, tmp_path):
     assert code == EXIT_PARSE
 
 
+def test_edge_list_vertex_count_guard(capsys, tmp_path):
+    # rejected from the header alone, before a per-vertex list is built
+    path = tmp_path / "huge.edges"
+    path.write_text("1000000000 0\n", encoding="utf-8")
+    code, _, err = run(capsys, "decompose", str(path), "--kind", "blocks")
+    assert code == EXIT_PARSE
+    assert "above the limit" in err
+
+
 def test_bad_family_spec(capsys):
     code, _, err = run(capsys, "mu", "moebius:7")
     assert code == EXIT_PARSE
     assert "bad graph source" in err
-
-
-def test_thread_cap_validation(capsys, monkeypatch):
-    monkeypatch.setenv("VCEW_THREADS", "not-a-number")
-    code, _, err = run(capsys, "mu", "cycle:4")
-    assert code == EXIT_PARSE
-    assert "VCEW_THREADS" in err
-    monkeypatch.setenv("VCEW_THREADS", "0")
-    code, _, _ = run(capsys, "mu", "cycle:4")
-    assert code == EXIT_PARSE
-    monkeypatch.setenv("VCEW_THREADS", "2")
-    code, _, _ = run(capsys, "mu", "cycle:4")
-    assert code == EXIT_OK
 
 
 def test_console_entry_point():

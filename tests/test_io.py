@@ -2,6 +2,7 @@ import pytest
 
 from vcew.families import cycle_graph, theta_graph
 from vcew.formats import (
+    MAX_VERTICES,
     FormatError,
     format_edge_list,
     format_weighting,
@@ -37,6 +38,12 @@ def test_edge_list_comments_and_layout():
 def test_edge_list_parse_errors(text):
     with pytest.raises(FormatError):
         parse_edge_list(text)
+
+
+def test_edge_list_vertex_limit():
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    with pytest.raises(FormatError, match="above the limit"):
+        parse_edge_list(f"{MAX_VERTICES + 1} 0\n")
 
 
 def test_weighting_round_trip():

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-import vcew._backend as backend
-import vcew._kernel_py as kernel_py
+from vcew import oracle
 from vcew.families import (
     clique_graph,
     cycle_graph,
@@ -27,20 +26,6 @@ from vcew.oracle import (
 )
 from vcew.weighting import induced_coloring, is_proper
 
-try:
-    import vcew._kernel as kernel_c
-
-    KERNELS = [kernel_py, kernel_c]
-except ImportError:  # compiled extension unavailable
-    KERNELS = [kernel_py]
-
-
-@pytest.fixture(params=KERNELS, ids=lambda k: k.BACKEND_NAME)
-def any_backend(request, monkeypatch):
-    monkeypatch.setattr(backend, "kernel", request.param)
-    return request.param.BACKEND_NAME
-
-
 MU_CASES = [
     (path_graph(3), 1),
     (path_graph(4), 2),
@@ -54,12 +39,12 @@ MU_CASES = [
 ]
 
 
-def test_mu_exact_known_values(any_backend):
+def test_mu_exact_known_values():
     for g, expected in MU_CASES:
         assert mu_exact(g) == expected
 
 
-def test_find_weighting_is_canonical_and_proper(any_backend):
+def test_find_weighting_is_canonical_and_proper():
     g = cycle_graph(4)
     w = find_weighting(g, 2)
     assert w.weights == (1, 1, 2, 2)
@@ -67,7 +52,7 @@ def test_find_weighting_is_canonical_and_proper(any_backend):
     assert find_weighting(g, 1) is None
 
 
-def test_find_weighting_lex_minimality(any_backend):
+def test_find_weighting_lex_minimality():
     g = cycle_graph(8)
     w = find_weighting(g, 2)
     # no weighting with a lexicographically smaller prefix exists
@@ -78,7 +63,7 @@ def test_find_weighting_lex_minimality(any_backend):
             assert not has_weighting(g, 2, SearchConstraints(fixed_weights=fixed))
 
 
-def test_constraints_fixed_and_parity(any_backend):
+def test_constraints_fixed_and_parity():
     g = path_graph(5)
     w = find_weighting(g, 2, SearchConstraints(fixed_weights={0: 2}))
     assert w.weights[0] == 2
@@ -89,7 +74,7 @@ def test_constraints_fixed_and_parity(any_backend):
     assert induced_coloring(g, w2).colors[0] % 2 == 1
 
 
-def test_mu_exact_component_rules(any_backend):
+def test_mu_exact_component_rules():
     two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     assert mu_exact(two_paths) == 1
     mixed = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
@@ -98,7 +83,7 @@ def test_mu_exact_component_rules(any_backend):
         mu_exact(Graph(4, [(0, 1), (1, 2), (2, 0)]))  # isolated vertex
 
 
-def test_search_preconditions(any_backend):
+def test_search_preconditions():
     with pytest.raises(GraphError):
         has_weighting(Graph(2, [(0, 1)]), 2)
     with pytest.raises(GraphError):
@@ -107,7 +92,7 @@ def test_search_preconditions(any_backend):
         has_weighting(path_graph(3), 0)
 
 
-def test_search_guard(any_backend):
+def test_search_guard():
     big = clique_graph(10)  # 45 edges
     with pytest.raises(SearchGuardError):
         has_weighting(big, 2)
@@ -115,26 +100,9 @@ def test_search_guard(any_backend):
         has_weighting(clique_graph(8), 3)  # 28 edges > k>=3 guard
 
 
-def test_not_found_within_cap(any_backend):
+def test_not_found_within_cap():
     with pytest.raises(NotFoundWithinCap):
         mu_exact(cycle_graph(6), k_max=2)
-
-
-def test_backends_agree_on_witnesses():
-    if len(KERNELS) < 2:
-        pytest.skip("compiled kernel unavailable")
-    for g, _ in MU_CASES:
-        results = []
-        for kern in KERNELS:
-            backend_saved = backend.kernel
-            backend.kernel = kern
-            try:
-                results.append(
-                    (mu_exact(g), find_weighting(g, mu_exact(g)).weights)
-                )
-            finally:
-                backend.kernel = backend_saved
-        assert results[0] == results[1]
 
 
 def test_enumerate_path_weightings_counts():
@@ -232,13 +200,13 @@ def test_constrained_witness_matches_brute_force_on_pools():
 
 def _count_searches(monkeypatch):
     calls = [0]
-    search = backend.kernel.search_weighting
+    search = oracle._search
 
     def counted(*args):
         calls[0] += 1
         return search(*args)
 
-    monkeypatch.setattr(backend.kernel, "search_weighting", counted)
+    monkeypatch.setattr(oracle, "_search", counted)
     return calls
 
 
