@@ -17,7 +17,6 @@ from .graph import (
     bipartition,
     blocks_and_cut_vertices,
     cartesian_product,
-    distance,
     induced_subgraph,
     is_connected,
     is_cycle_graph,
@@ -116,11 +115,19 @@ def degree_component_partition(g: Graph):
 
     def spread(cid, start):
         # within one equal-degree component the cross weight follows
-        # the anchor, flipped on odd distance in g
+        # the anchor, flipped on odd distance in g (one BFS from start)
+        dist = [-1] * g.n
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y, _ in g.adjacency[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
         for v in comps[cid]:
             if v != start:
-                flip = distance(g, start, v) & 1
-                cross[v] = cross[start] if not flip else 3 - cross[start]
+                cross[v] = cross[start] if not dist[v] & 1 else 3 - cross[start]
 
     for seed_cid in range(len(comps)):
         if done[seed_cid]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .formats import MAX_EDGES, MAX_VERTICES
 from .graph import Graph, GraphError, cartesian_product, is_connected
 
 
@@ -180,8 +181,21 @@ def hypercube_graph(n: int) -> Graph:
 
 
 def make(spec: str) -> Graph:
-    """Build a graph from a family-spec string (whitespace-insensitive)."""
-    return _parse_spec("".join(spec.split()))
+    """Build a graph from a family-spec string (whitespace-insensitive).
+
+    The vertex and edge counts are computed from the parameters first; a
+    spec above ``formats.MAX_VERTICES`` vertices or ``formats.MAX_EDGES``
+    edges raises FamilyError before any graph is built.
+    """
+    s = "".join(spec.split())
+    tree = _parse_spec(s)
+    n, m = _spec_size(tree)
+    if n > MAX_VERTICES or m > MAX_EDGES:
+        raise FamilyError(
+            f"spec {s!r} builds more than {MAX_VERTICES} vertices "
+            f"or {MAX_EDGES} edges"
+        )
+    return _build_spec(tree)
 
 
 def split_product_spec(s: str):
@@ -202,10 +216,45 @@ def split_product_spec(s: str):
     raise FamilyError(f"product spec needs two comma-separated factors: {s!r}")
 
 
-def _parse_spec(s: str) -> Graph:
+def _hypercube_size(args):
+    # a dimension above 64 is sized as 64, already far past the limits,
+    # so that no huge power of two is computed
+    d = min(args[0], 64)
+    return 1 << d, d * (1 << d) // 2
+
+
+def _gpt_size(lengths):
+    # at most: hubs merge and parallel unit paths collapse
+    return 4 + sum(max(l - 1, 0) for l in lengths), sum(lengths)
+
+
+# name: (argument count, or None for one or more; builder; (n, m) of the
+# graph the builder makes from valid arguments)
+_FAMILIES = {
+    "path": (1, lambda a: path_graph(a[0]), lambda a: (a[0], a[0] - 1)),
+    "cycle": (1, lambda a: cycle_graph(a[0]), lambda a: (a[0], a[0])),
+    "clique": (
+        1,
+        lambda a: clique_graph(a[0]),
+        lambda a: (a[0], a[0] * (a[0] - 1) // 2),
+    ),
+    "kpart": (
+        None,
+        complete_multipartite,
+        lambda a: (sum(a), (sum(a) ** 2 - sum(x * x for x in a)) // 2),
+    ),
+    "theta": (None, theta_graph, lambda a: (2 + sum(a) - len(a), sum(a))),
+    "gpt": (6, lambda a: gpt_graph(GptParams(*a)), _gpt_size),
+    "hypercube": (1, lambda a: hypercube_graph(a[0]), _hypercube_size),
+}
+
+
+def _parse_spec(s: str):
+    # the parse tree of a whitespace-free spec: ("product", A, B) or
+    # (name, args) for a family
     factors = split_product_spec(s)
     if factors is not None:
-        return cartesian_product(_parse_spec(factors[0]), _parse_spec(factors[1]))
+        return ("product", _parse_spec(factors[0]), _parse_spec(factors[1]))
     if ":" not in s:
         raise FamilyError(f"unparseable family spec {s!r}")
     name, _, argstr = s.partition(":")
@@ -213,21 +262,26 @@ def _parse_spec(s: str) -> Graph:
         args = [int(a) for a in argstr.split(",")] if argstr else []
     except ValueError:
         raise FamilyError(f"non-integer arguments in family spec {s!r}") from None
-    if name == "path" and len(args) == 1:
-        return path_graph(args[0])
-    if name == "cycle" and len(args) == 1:
-        return cycle_graph(args[0])
-    if name == "clique" and len(args) == 1:
-        return clique_graph(args[0])
-    if name == "kpart" and args:
-        return complete_multipartite(args)
-    if name == "theta" and args:
-        return theta_graph(args)
-    if name == "gpt" and len(args) == 6:
-        return gpt_graph(GptParams(*args))
-    if name == "hypercube" and len(args) == 1:
-        return hypercube_graph(args[0])
-    raise FamilyError(f"unknown family or wrong arity in spec {s!r}")
+    if name not in _FAMILIES or not args or _FAMILIES[name][0] not in (None, len(args)):
+        raise FamilyError(f"unknown family or wrong arity in spec {s!r}")
+    return (name, args)
+
+
+def _spec_size(tree):
+    # (n, m) of the graph a parse tree builds, from its parameters alone;
+    # negative parameters count as zero (the builder rejects them)
+    if tree[0] == "product":
+        (n1, m1), (n2, m2) = _spec_size(tree[1]), _spec_size(tree[2])
+        return n1 * n2, n1 * m2 + n2 * m1
+    _, _, size = _FAMILIES[tree[0]]
+    return size([max(a, 0) for a in tree[1]])
+
+
+def _build_spec(tree) -> Graph:
+    if tree[0] == "product":
+        return cartesian_product(_build_spec(tree[1]), _build_spec(tree[2]))
+    _, build, _ = _FAMILIES[tree[0]]
+    return build(tree[1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,38 +355,43 @@ def random_connected_bipartite(n: int, m: int, seed: int) -> Graph:
 
 
 def _wl_colors(masks, n):
-    # iterated degree refinement; canonical across isomorphic graphs
-    col = [bin(mk).count("1") for mk in masks]
+    # iterated degree refinement; returns the final colours and the sorted
+    # signatures of the last round, both canonical across isomorphic graphs
+    # (the signatures also fix the colour multiset and the edge count)
+    nbrs = []
+    for mk in masks:
+        nb = []
+        while mk:
+            b = mk & -mk
+            nb.append(b.bit_length() - 1)
+            mk ^= b
+        nbrs.append(nb)
+    col = [len(nb) for nb in nbrs]
     classes = len(set(col))
     for _ in range(n):
-        sigs = []
-        for v in range(n):
-            nb = []
-            mk = masks[v]
-            while mk:
-                b = mk & -mk
-                nb.append(col[b.bit_length() - 1])
-                mk ^= b
-            nb.sort()
-            sigs.append((col[v], tuple(nb)))
+        sigs = [
+            (col[v], tuple(sorted([col[u] for u in nbrs[v]]))) for v in range(n)
+        ]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
         col = [ranks[s] for s in sigs]
         new_classes = len(set(col))
         if new_classes == classes:
             break
         classes = new_classes
-    return col
+    return col, tuple(sorted(sigs))
 
 
-def _masks_isomorphic(m1, c1, m2, c2, n):
-    # backtracking vertex mapping guided by refinement colors
+def _isomorphisms(m1, c1, m2, c2, n):
+    # every colour-preserving vertex mapping of graph 1 onto graph 2, found
+    # by backtracking; yields img with img[v] the image of v
     order = sorted(range(n), key=lambda v: (c1.count(c1[v]), c1[v], v))
     used = [False] * n
     img = [0] * n
 
     def bt(i):
         if i == n:
-            return True
+            yield tuple(img)
+            return
         v = order[i]
         for t in range(n):
             if used[t] or c2[t] != c1[v]:
@@ -346,29 +405,51 @@ def _masks_isomorphic(m1, c1, m2, c2, n):
             if ok:
                 used[t] = True
                 img[v] = t
-                if bt(i + 1):
-                    return True
+                yield from bt(i + 1)
                 used[t] = False
-        return False
 
     return bt(0)
 
 
+def _masks_isomorphic(m1, c1, m2, c2, n):
+    return next(_isomorphisms(m1, c1, m2, c2, n), None) is not None
+
+
+def _subset_image(subset, perm):
+    img = 0
+    while subset:
+        b = subset & -subset
+        img |= 1 << perm[b.bit_length() - 1]
+        subset ^= b
+    return img
+
+
 @lru_cache(maxsize=None)
 def _connected_mask_reps(n: int):
-    # all connected graphs on n labeled-canonical vertices, one per
-    # isomorphism class, grown by attaching a new vertex to every
-    # nonempty neighbor subset of every (n-1)-vertex representative
+    # all connected graphs on n vertices, one per isomorphism class: a new
+    # vertex joins every nonempty neighbour subset of every (n-1)-vertex
+    # representative in ascending order, and the first candidate of each
+    # class is kept.  A subset that an automorphism of its base maps from
+    # an earlier subset gives a candidate isomorphic to an earlier one, so
+    # it is skipped unbuilt; the others are compared only within their
+    # bucket of equal refinement signatures.
     if n == 1:
         return ((0,),)
+    top = n - 1
     reps = []
     buckets = {}
-    for base in _connected_mask_reps(n - 1):
-        for subset in range(1, 1 << (n - 1)):
-            masks = [base[v] | (((subset >> v) & 1) << (n - 1)) for v in range(n - 1)]
+    for base in _connected_mask_reps(top):
+        base_col, _ = _wl_colors(base, top)
+        autos = list(_isomorphisms(base, base_col, base, base_col, top))
+        seen = bytearray(1 << top)
+        for subset in range(1, 1 << top):
+            if seen[subset]:
+                continue
+            for perm in autos:
+                seen[_subset_image(subset, perm)] = 1
+            masks = [base[v] | (((subset >> v) & 1) << top) for v in range(top)]
             masks.append(subset)
-            col = _wl_colors(masks, n)
-            key = (sum(bin(mk).count("1") for mk in masks), tuple(sorted(col)))
+            col, key = _wl_colors(masks, n)
             bucket = buckets.setdefault(key, [])
             if not any(
                 _masks_isomorphic(masks, col, m2, c2, n) for m2, c2 in bucket
@@ -389,7 +470,13 @@ def _graph_from_masks(masks) -> Graph:
 def enumerate_connected(n: int):
     """All connected graphs on n vertices up to isomorphism, 3 <= n <= 8.
 
-    Deterministic order (canonical augmentation with isomorph rejection).
+    Deterministic order (orderly generation): each graph on n - 1
+    vertices, in this order, gets a new vertex joined to each of its
+    nonempty neighbour subsets in ascending order, and the first
+    candidate of every isomorphism class is kept.  Subsets in one orbit
+    of the base graph's automorphisms are built once, and each candidate
+    is tested for isomorphism only against the kept graphs with the same
+    refinement signature.
     """
     if not (3 <= n <= 8):
         raise FamilyError("enumeration supports 3 <= n <= 8")
@@ -408,8 +495,8 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
     for u, v in h.edges:
         hm[u] |= 1 << v
         hm[v] |= 1 << u
-    cg = _wl_colors(gm, g.n)
-    ch = _wl_colors(hm, h.n)
-    if sorted(cg) != sorted(ch):
+    cg, gkey = _wl_colors(gm, g.n)
+    ch, hkey = _wl_colors(hm, h.n)
+    if gkey != hkey:
         return False
     return _masks_isomorphic(gm, cg, hm, ch, g.n)

@@ -20,6 +20,12 @@ from .weighting import EdgeWeighting
 # ``1000000 0`` peaks above 100 MiB in ``vcew decompose``.
 MAX_VERTICES = 100_000
 
+# Largest edge count a family spec may build (``families.make``): twice
+# MAX_VERTICES, so paths and cycles at the vertex limit build.  ``Graph``
+# keeps about 310 bytes per edge: ``product(path:400,path:250)`` (199,350
+# edges) peaks at about 120 MiB in ``vcew decompose``.
+MAX_EDGES = 200_000
+
 
 class FormatError(ValueError):
     """Unparseable graph or weighting text."""

@@ -233,6 +233,14 @@ def test_edge_list_vertex_count_guard(capsys, tmp_path):
     assert "above the limit" in err
 
 
+@pytest.mark.parametrize("spec", ["path:1000000000", "clique:100000", "hypercube:40"])
+def test_family_spec_size_guard(capsys, spec):
+    # rejected from the spec's parameters alone, before any graph is built
+    code, _, err = run(capsys, "decompose", spec, "--kind", "blocks")
+    assert code == EXIT_PARSE
+    assert "builds more than" in err
+
+
 def test_bad_family_spec(capsys):
     code, _, err = run(capsys, "mu", "moebius:7")
     assert code == EXIT_PARSE

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from instance_pools import (
@@ -20,7 +22,14 @@ from vcew.constructors import (
     multipartite_weighting,
     product_weighting,
 )
-from vcew.families import clique_graph, complete_multipartite, cycle_graph, path_graph, theta_graph
+from vcew.families import (
+    clique_graph,
+    complete_multipartite,
+    cycle_graph,
+    path_graph,
+    random_connected_bipartite,
+    theta_graph,
+)
 from vcew.graph import Graph, cartesian_product, distance
 from vcew.oracle import find_weighting, mu_exact
 from vcew.weighting import EdgeWeighting, induced_coloring, is_proper
@@ -92,6 +101,25 @@ def test_degree_component_relation():
         for u, v in g.edges:
             if abs(g.degrees[u] - g.degrees[v]) == 1:
                 assert cross[u] == cross[v]
+
+
+def test_degree_component_cross_weights_follow_distance_parity():
+    # the per-vertex distance rule: inside each equal-degree component two
+    # cross weights agree exactly when the vertices lie at even distance,
+    # and every component that seeded a tree takes weight 1 at its anchor
+    for seed in range(50):
+        n = 4 + seed % 13
+        m = n - 1 + seed % ((n // 2) * ((n + 1) // 2) - n + 2)
+        g = random_connected_bipartite(n, m, seed)
+        partition, cross = degree_component_partition(g)
+        vertices = sorted(v for comp in partition.components for v in comp)
+        assert vertices == list(range(n))
+        for cid, comp in enumerate(partition.components):
+            for u, v in itertools.combinations(comp, 2):
+                assert (cross[u] == cross[v]) == (distance(g, u, v) % 2 == 0), seed
+            if partition.parent[cid] is None:
+                assert cross[comp[0]] == 1 == partition.anchor_weight[cid]
+            assert partition.anchor_weight[cid] in (cross[v] for v in comp)
 
 
 def test_msp_pattern_instances():
