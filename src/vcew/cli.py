@@ -39,7 +39,7 @@ from .oracle import (
     find_weighting,
     mu_exact,
 )
-from .verify import run_sweep, theorem_ids
+from .verify import given_options, run_sweep, theorem_ids
 from .weighting import is_proper
 
 EXIT_OK = 0
@@ -69,104 +69,105 @@ def load_graph(source: str) -> Graph:
         raise CliError(EXIT_PARSE, f"bad graph source {source!r}: {exc}")
 
 
-def _cmd_mu(args) -> int:
-    g = load_graph(args.source)
+def _oracle(source, g, *, k=None, kmax=DEFAULT_K_MAX, force=False):
+    if k is None:
+        k = mu_exact(g, k_max=kmax, force=force)
+    w = find_weighting(g, k, force=force)
+    if w is None:
+        raise CliError(EXIT_CAP, f"no proper {k}-weighting exists")
+    return g, w
+
+
+def _product(source, g, *, force=False):
     try:
-        mu = mu_exact(g, k_max=args.kmax, force=args.force)
+        factors = split_product_spec("".join(source.split()))
+    except FamilyError as exc:
+        raise CliError(EXIT_PARSE, f"bad product spec {source!r}: {exc}")
+    if factors is None:
+        raise CliError(
+            EXIT_PRECONDITION,
+            "method 'product' needs a product(spec,spec) source",
+        )
+    ga, gb = (load_graph(f) for f in factors)
+    wa = find_weighting(ga, mu_exact(ga, force=force), force=force)
+    wb = find_weighting(gb, mu_exact(gb, force=force), force=force)
+    return cartesian_product(ga, gb), product_weighting(ga, wa, gb, wb)
+
+
+def _bipk2(source, g):
+    return cartesian_product(g, Graph(2, [(0, 1)])), bipartite_product_k2(g)
+
+
+def _multipartite(source, g):
+    # recover (r, n): in K_{n,...,n} every degree is n(r-1), so the
+    # part size is n minus that common degree
+    n_part = g.n - max(g.degrees) if g.degrees else 0
+    if n_part < 2 or g.n % n_part:
+        raise CliError(
+            EXIT_PRECONDITION,
+            "method 'multipartite' needs a balanced complete "
+            "multipartite graph with parts of size >= 2",
+        )
+    r = g.n // n_part
+    built, w = multipartite_weighting(r, n_part)
+    if built.edges != g.edges or built.n != g.n:
+        raise CliError(
+            EXIT_PRECONDITION,
+            "source graph is not the canonical balanced complete "
+            f"multipartite graph on {r} parts of size {n_part}",
+        )
+    return g, w
+
+
+def _dominant(source, g, *, vertex=None):
+    if vertex is None:
+        vertex = _dominant_vertex(g)
+        if vertex is None:
+            raise CliError(
+                EXIT_PRECONDITION,
+                "no dominant vertex with connected remainder found",
+            )
+    return g, dominant_vertex_weighting(g, vertex)
+
+
+# each --method name and its builder; a builder's keyword-only parameters
+# are the options it takes, and it returns (host graph, weighting)
+_METHODS = {
+    "oracle": _oracle,
+    "product": _product,
+    "bipk2": _bipk2,
+    "msp-a": lambda source, g: (g, msp_pattern_weighting(g, "A")),
+    "msp-b": lambda source, g: (g, msp_pattern_weighting(g, "B")),
+    "cycle-blocks": lambda source, g: (g, cycle_block_weighting(g)),
+    "multipartite": _multipartite,
+    "dominant": _dominant,
+}
+
+
+def _construct(method: str, source: str, **options):
+    """Build a weighting of ``source`` by ``method`` with the options that
+    are not None, map its errors to exit codes and check it is proper."""
+    builder = _METHODS[method]
+    try:
+        options = given_options(builder, f"method {method!r}", options)
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, str(exc))
+    g = load_graph(source)
+    try:
+        host, w = builder(source, g, **options)
     except NotFoundWithinCap as exc:
-        if args.kmax >= 3:
+        kmax = options.get("kmax", DEFAULT_K_MAX)
+        if kmax >= 3:
             raise CliError(
                 EXIT_CAP,
                 "POTENTIAL COUNTEREXAMPLE TO THE 1-2-3 THEOREM "
                 f"(mu <= 3, Keusch 2024): {exc}",
             )
-        raise CliError(EXIT_CAP, f"mu exceeds --kmax {args.kmax}: {exc}")
+        raise CliError(EXIT_CAP, f"mu exceeds --kmax {kmax}: {exc}")
     except SearchGuardError as exc:
         raise CliError(EXIT_CAP, str(exc))
-    except GraphError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
-    print(f"mu={mu}")
-    try:
-        witness = find_weighting(g, mu, force=args.force)
-    except (GraphError, SearchGuardError) as exc:
-        raise CliError(EXIT_CAP, f"mu known but witness search refused: {exc}")
-    sys.stdout.write(format_weighting(g, witness))
-    return EXIT_OK
-
-
-def _weight_by_method(args, g: Graph):
-    method = args.method
-    if method == "oracle":
-        k = args.k
-        if k is None:
-            k = mu_exact(g, force=args.force)
-        w = find_weighting(g, k, force=args.force)
-        if w is None:
-            raise CliError(EXIT_CAP, f"no proper {k}-weighting exists")
-        return g, w
-    if method == "product":
-        try:
-            factors = split_product_spec("".join(args.source.split()))
-        except FamilyError as exc:
-            raise CliError(EXIT_PARSE, f"bad product spec {args.source!r}: {exc}")
-        if factors is None:
-            raise CliError(
-                EXIT_PRECONDITION,
-                "method 'product' needs a product(spec,spec) source",
-            )
-        ga, gb = (load_graph(f) for f in factors)
-        wa = find_weighting(ga, mu_exact(ga))
-        wb = find_weighting(gb, mu_exact(gb))
-        return cartesian_product(ga, gb), product_weighting(ga, wa, gb, wb)
-    if method == "bipk2":
-        prod = cartesian_product(g, Graph(2, [(0, 1)]))
-        return prod, bipartite_product_k2(g)
-    if method == "msp-a":
-        return g, msp_pattern_weighting(g, "A")
-    if method == "msp-b":
-        return g, msp_pattern_weighting(g, "B")
-    if method == "cycle-blocks":
-        return g, cycle_block_weighting(g)
-    if method == "multipartite":
-        # recover (r, n): in K_{n,...,n} every degree is n(r-1), so the
-        # part size is n minus that common degree
-        n_part = g.n - max(g.degrees) if g.degrees else 0
-        if n_part < 2 or g.n % n_part:
-            raise CliError(
-                EXIT_PRECONDITION,
-                "method 'multipartite' needs a balanced complete "
-                "multipartite graph with parts of size >= 2",
-            )
-        r = g.n // n_part
-        built, w = multipartite_weighting(r, n_part)
-        if built.edges != g.edges or built.n != g.n:
-            raise CliError(
-                EXIT_PRECONDITION,
-                "source graph is not the canonical balanced complete "
-                f"multipartite graph on {r} parts of size {n_part}",
-            )
-        return g, w
-    if method == "dominant":
-        v = args.vertex
-        if v is None:
-            v = _dominant_vertex(g)
-            if v is None:
-                raise CliError(
-                    EXIT_PRECONDITION,
-                    "no dominant vertex with connected remainder found",
-                )
-        return g, dominant_vertex_weighting(g, v)
-    raise CliError(EXIT_PARSE, f"unknown method {method!r}")
-
-
-def _cmd_weight(args) -> int:
-    g = load_graph(args.source)
-    try:
-        host, w = _weight_by_method(args, g)
     except (PreconditionError, GraphError, FamilyError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
-    except SearchGuardError as exc:
-        raise CliError(EXIT_CAP, str(exc))
     except ClaimFailure as exc:
         raise CliError(EXIT_VERIFY, f"CONSTRUCTION FALSIFIED A CLAIM: {exc}")
     verdict = is_proper(host, w)
@@ -175,6 +176,20 @@ def _cmd_weight(args) -> int:
             EXIT_VERIFY,
             f"constructed weighting is improper on edges {verdict.conflicts}",
         )
+    return host, w
+
+
+def _cmd_mu(args) -> int:
+    g, w = _construct("oracle", args.source, kmax=args.kmax, force=args.force)
+    print(f"mu={w.k}")
+    sys.stdout.write(format_weighting(g, w))
+    return EXIT_OK
+
+
+def _cmd_weight(args) -> int:
+    host, w = _construct(
+        args.method, args.source, k=args.k, vertex=args.vertex, force=args.force
+    )
     sys.stdout.write(format_weighting(host, w))
     return EXIT_OK
 
@@ -190,6 +205,8 @@ def _cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc))
+    except SearchGuardError as exc:
+        raise CliError(EXIT_CAP, str(exc))
     print(f"theorem={report.theorem}")
     print(f"instances={report.instances}")
     print(f"passes={report.passes}")
@@ -242,20 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument(
         "--method",
         required=True,
-        choices=[
-            "oracle",
-            "product",
-            "bipk2",
-            "msp-a",
-            "msp-b",
-            "cycle-blocks",
-            "multipartite",
-            "dominant",
-        ],
+        choices=list(_METHODS),
     )
     p_w.add_argument("--k", type=int, default=None, help="alphabet size (oracle)")
     p_w.add_argument("--vertex", type=int, default=None, help="dominant vertex")
-    p_w.add_argument("--force", action="store_true", help="override size guards")
+    p_w.add_argument(
+        "--force",
+        action="store_true",
+        default=None,
+        help="override size guards (oracle, product)",
+    )
     p_w.set_defaults(fn=_cmd_weight)
 
     p_v = sub.add_parser("verify", help="run a theorem verification sweep")

@@ -385,30 +385,31 @@ def _isomorphisms(m1, c1, m2, c2, n):
     # every colour-preserving vertex mapping of graph 1 onto graph 2, found
     # by backtracking; yields img with img[v] the image of v
     order = sorted(range(n), key=lambda v: (c1.count(c1[v]), c1[v], v))
-    used = [False] * n
-    img = [0] * n
+    return _extend_mapping(m1, c1, m2, c2, order, [False] * n, [0] * n, 0)
 
-    def bt(i):
-        if i == n:
-            yield tuple(img)
-            return
-        v = order[i]
-        for t in range(n):
-            if used[t] or c2[t] != c1[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if ((m1[v] >> u) & 1) != ((m2[t] >> img[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                used[t] = True
-                img[v] = t
-                yield from bt(i + 1)
-                used[t] = False
 
-    return bt(0)
+def _extend_mapping(m1, c1, m2, c2, order, used, img, i):
+    # the mappings of _isomorphisms that agree with img on order[:i]; a
+    # module-level generator, so the recursion leaves no reference cycle
+    n = len(order)
+    if i == n:
+        yield tuple(img)
+        return
+    v = order[i]
+    for t in range(n):
+        if used[t] or c2[t] != c1[v]:
+            continue
+        ok = True
+        for j in range(i):
+            u = order[j]
+            if ((m1[v] >> u) & 1) != ((m2[t] >> img[u]) & 1):
+                ok = False
+                break
+        if ok:
+            used[t] = True
+            img[v] = t
+            yield from _extend_mapping(m1, c1, m2, c2, order, used, img, i + 1)
+            used[t] = False
 
 
 def _masks_isomorphic(m1, c1, m2, c2, n):

@@ -60,9 +60,6 @@ class Graph:
     def neighbors(self, v: int):
         return tuple([u for u, _ in self.adjacency[v]])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return any(x == v for x, _ in self.adjacency[u])
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

@@ -7,6 +7,8 @@ deterministic given their parameters.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -84,26 +86,38 @@ class VerificationReport:
         self.failures.append((description, expected, got))
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.seconds = time.perf_counter() - t0
-        return report
-
-    return wrapper
+_SWEEPS = {}
 
 
-@_timed
-def verify_mu_table() -> VerificationReport:
+def _sweep(theorem: str):
+    """Register a sweep under ``theorem``.  The decorated body fills the
+    report it is handed; its keyword-only parameters are the options the
+    sweep takes.  The registered sweep creates, times and returns the
+    report."""
+
+    def register(body):
+        @functools.wraps(body)
+        def sweep(**options) -> VerificationReport:
+            report = VerificationReport(theorem)
+            t0 = time.perf_counter()
+            body(report, **options)
+            report.seconds = time.perf_counter() - t0
+            return report
+
+        _SWEEPS[theorem] = sweep
+        return sweep
+
+    return register
+
+
+@_sweep("thm-1.3")
+def verify_mu_table(report):
     """Fixed mu values for paths, cycles and cliques."""
-    report = VerificationReport("thm-1.3")
     for n in range(3, 13):
         report.check(f"path:{n}", mu_path_cycle_clique("path", n), mu_exact(path_graph(n)))
         report.check(f"cycle:{n}", mu_path_cycle_clique("cycle", n), mu_exact(cycle_graph(n)))
     for n in range(3, 7):
         report.check(f"clique:{n}", mu_path_cycle_clique("clique", n), mu_exact(clique_graph(n)))
-    return report
 
 
 _COMPOSITION_SOURCES = (
@@ -118,10 +132,9 @@ _COMPOSITION_SOURCES = (
 )
 
 
-@_timed
-def verify_product_composition() -> VerificationReport:
+@_sweep("thm-2.1")
+def verify_product_composition(report):
     """Composed product weightings are proper with k = max of the inputs."""
-    report = VerificationReport("thm-2.1")
     prepared = []
     for name, build in _COMPOSITION_SOURCES:
         g = build()
@@ -137,16 +150,14 @@ def verify_product_composition() -> VerificationReport:
             report.record_failure(desc, "proper", str(exc))
             continue
         report.check(desc, max(wg.k, wh.k), w.k)
-    return report
 
 
-@_timed
-def verify_product_connectivity(max_order: int = 36) -> VerificationReport:
+@_sweep("lemma-2.3")
+def verify_product_connectivity(report, *, max_vertices: int = 36):
     """Connectivity of cartesian products matches the closed formula."""
-    report = VerificationReport("lemma-2.3")
     # every factor has at least 3 vertices, so neither has more than
-    # max_order // 3
-    orders = range(3, min(8, max_order // 3) + 1)
+    # max_vertices // 3
+    orders = range(3, min(8, max_vertices // 3) + 1)
     pools = {n: enumerate_connected(n) for n in orders}
     kappa = {}
     for n, pool in pools.items():
@@ -154,7 +165,7 @@ def verify_product_connectivity(max_order: int = 36) -> VerificationReport:
             kappa[(n, i)] = vertex_connectivity(g)
     for ng in orders:
         for nh in range(ng, orders.stop):
-            if ng * nh > max_order:
+            if ng * nh > max_vertices:
                 continue
             for i, g in enumerate(pools[ng]):
                 start = i if ng == nh else 0
@@ -171,13 +182,11 @@ def verify_product_connectivity(max_order: int = 36) -> VerificationReport:
                         expected,
                         vertex_connectivity(prod),
                     )
-    return report
 
 
-@_timed
-def verify_bipartite_products(samples: int = 100, seed: int = 0) -> VerificationReport:
+@_sweep("thm-2.4")
+def verify_bipartite_products(report, *, samples: int = 100, seed: int = 0):
     """Sweep thm-2.4: g x K2 gets a proper 2-weighting for bipartite g."""
-    report = VerificationReport("thm-2.4")
     k2 = path_graph(2)
     rng = _Lcg(seed)
     for i in range(samples):
@@ -196,13 +205,11 @@ def verify_bipartite_products(samples: int = 100, seed: int = 0) -> Verification
             report.check(f"{desc} mu<=2", True, has_weighting(prod, 2))
         else:
             report.record_pass(desc)
-    return report
 
 
-@_timed
-def verify_vc1_product_equivalence(max_vertices: int = 5) -> VerificationReport:
+@_sweep("prop-2.5")
+def verify_vc1_product_equivalence(report, *, max_vertices: int = 5):
     """Sweep prop-2.5: the product admits a VC1-EW iff both factors do."""
-    report = VerificationReport("prop-2.5")
     pool = []
     for n in range(3, max_vertices + 1):
         pool.extend((n, i, g) for i, g in enumerate(enumerate_connected(n)))
@@ -212,13 +219,11 @@ def verify_vc1_product_equivalence(max_vertices: int = 5) -> VerificationReport:
             admits_vc1(g) and admits_vc1(h),
             admits_vc1(cartesian_product(g, h)),
         )
-    return report
 
 
-@_timed
-def verify_multipartite() -> VerificationReport:
+@_sweep("prop-3.6")
+def verify_multipartite(report):
     """Sweep prop-3.6: balanced complete multipartite graphs have mu = 2."""
-    report = VerificationReport("prop-3.6")
     for r, n in ((2, 2), (2, 3), (3, 2), (3, 3)):
         desc = f"kpart r={r} n={n}"
         try:
@@ -230,7 +235,24 @@ def verify_multipartite() -> VerificationReport:
             report.check(f"{desc} mu", 2, mu_exact(g))
         else:
             report.record_pass(desc)
-    return report
+
+
+@_sweep("thm-3.7")
+def verify_no_single_edge_msp(report, *, max_vertices: int = 8):
+    """Sweep thm-3.7 (claim verification, not regression): connected
+    non-C_{4k+r} graphs with no single-edge maximal simple path have
+    mu <= 2."""
+    for n in range(3, max_vertices + 1):
+        for i, g in enumerate(enumerate_connected(n)):
+            if is_cycle_graph(g) and g.n % 4 != 0:
+                continue
+            if any(p.length == 1 for p in maximal_simple_paths(g).paths):
+                continue
+            report.check(
+                f"n={n}#{i}",
+                True,
+                admits_vc1(g) or has_weighting(g, 2),
+            )
 
 
 def _theta_length_lists(max_edges: int, r_values=(3, 4)):
@@ -245,20 +267,17 @@ def _theta_length_lists(max_edges: int, r_values=(3, 4)):
             yield lengths
 
 
-@_timed
-def verify_theta(max_edges: int = 16) -> VerificationReport:
+@_sweep("thm-4.2")
+def verify_theta(report, *, max_edges: int = 16):
     """Sweep thm-4.2: the theta classifier agrees with the oracle."""
-    report = VerificationReport("thm-4.2")
     for lengths in _theta_length_lists(max_edges):
         name = "theta:" + ",".join(map(str, lengths))
         report.check(name, mu_theta(lengths), mu_exact(theta_graph(lengths)))
-    return report
 
 
-@_timed
-def verify_gpt(max_edges: int = 14) -> VerificationReport:
+@_sweep("thm-4.3")
+def verify_gpt(report, *, max_edges: int = 14):
     """Sweep thm-4.3: the GPT classifier agrees with the oracle."""
-    report = VerificationReport("thm-4.3")
     cache = {}
     for t in itertools.product(range(max_edges + 1), repeat=6):
         if sum(t) > max_edges:
@@ -274,13 +293,11 @@ def verify_gpt(max_edges: int = 14) -> VerificationReport:
         if key not in cache:
             cache[key] = mu_exact(g)
         report.check("gpt:" + ",".join(map(str, t)), mu_gpt(p), cache[key])
-    return report
 
 
-@_timed
-def verify_end_edges() -> VerificationReport:
+@_sweep("remark")
+def verify_end_edges(report):
     """The end-edge trichotomy for paths of length 4..16."""
-    report = VerificationReport("remark")
     expected_by_mod = {
         0: EndEdgeBehavior.FREE,
         1: EndEdgeBehavior.SAME,
@@ -294,87 +311,49 @@ def verify_end_edges() -> VerificationReport:
             report.record_failure(f"length {n}", expected_by_mod[n % 4], str(exc))
             continue
         report.check(f"length {n}", expected_by_mod[n % 4], got)
-    return report
 
 
-@_timed
-def verify_no_single_edge_msp(max_n: int = 8) -> VerificationReport:
-    """Sweep thm-3.7 (claim verification, not regression): connected
-    non-C_{4k+r} graphs with no single-edge maximal simple path have
-    mu <= 2."""
-    report = VerificationReport("thm-3.7")
-    for n in range(3, max_n + 1):
-        for i, g in enumerate(enumerate_connected(n)):
-            if is_cycle_graph(g) and g.n % 4 != 0:
-                continue
-            if any(p.length == 1 for p in maximal_simple_paths(g).paths):
-                continue
-            report.check(
-                f"n={n}#{i}",
-                True,
-                admits_vc1(g) or has_weighting(g, 2),
-            )
-    return report
-
-
-@_timed
-def verify_soundness(max_n: int = 7) -> VerificationReport:
+@_sweep("soundness")
+def verify_soundness(report, *, max_vertices: int = 7):
     """Rule-engine bounds never undercut the oracle, and every instance
     stays within the proven bound mu <= 3 (Keusch 2024)."""
-    report = VerificationReport("soundness")
-    for n in range(3, max_n + 1):
+    for n in range(3, max_vertices + 1):
         for i, g in enumerate(enumerate_connected(n)):
             exact = mu_exact(g)
             bound = mu_upper_bound(g).bound
             report.check(f"n={n}#{i} bound>=mu", True, bound >= exact)
             report.check(f"n={n}#{i} mu<=3", True, exact <= 3)
-    return report
-
-
-_SWEEPS = {
-    "thm-1.3": verify_mu_table,
-    "thm-2.1": verify_product_composition,
-    "lemma-2.3": verify_product_connectivity,
-    "thm-2.4": verify_bipartite_products,
-    "prop-2.5": verify_vc1_product_equivalence,
-    "prop-3.6": verify_multipartite,
-    "thm-3.7": verify_no_single_edge_msp,
-    "thm-4.2": verify_theta,
-    "thm-4.3": verify_gpt,
-    "remark": verify_end_edges,
-    "soundness": verify_soundness,
-}
 
 
 def theorem_ids():
     return tuple(_SWEEPS)
 
 
-def run_sweep(
-    theorem: str,
-    max_edges: int | None = None,
-    max_vertices: int | None = None,
-    seed: int | None = None,
-    samples: int | None = None,
-) -> VerificationReport:
-    """Run one named sweep, forwarding only the parameters it accepts."""
+def given_options(fn, owner: str, options: dict) -> dict:
+    """The ``options`` that are not None.  Raises ValueError naming the
+    first of them that ``fn`` has no keyword-only parameter for."""
+    takes = [
+        p.name
+        for p in inspect.signature(fn).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    ]
+    given = {name: value for name, value in options.items() if value is not None}
+    for name in given:
+        if name not in takes:
+            flags = ", ".join(_flag(t) for t in takes) or "no options"
+            raise ValueError(f"{owner} does not take {_flag(name)} (it takes {flags})")
+    return given
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def run_sweep(theorem: str, **options) -> VerificationReport:
+    """Run one named sweep with the options that are not None."""
     if theorem not in _SWEEPS:
         raise ValueError(
             f"unknown theorem id {theorem!r}; known: {', '.join(_SWEEPS)}"
         )
-    fn = _SWEEPS[theorem]
-    kwargs = {}
-    if theorem in ("thm-4.2", "thm-4.3") and max_edges is not None:
-        kwargs["max_edges"] = max_edges
-    if theorem == "lemma-2.3" and max_vertices is not None:
-        kwargs["max_order"] = max_vertices
-    if theorem in ("thm-3.7", "soundness") and max_vertices is not None:
-        kwargs["max_n"] = max_vertices
-    if theorem == "prop-2.5" and max_vertices is not None:
-        kwargs["max_vertices"] = max_vertices
-    if theorem == "thm-2.4":
-        if seed is not None:
-            kwargs["seed"] = seed
-        if samples is not None:
-            kwargs["samples"] = samples
-    return fn(**kwargs)
+    sweep = _SWEEPS[theorem]
+    return sweep(**given_options(sweep, f"theorem {theorem}", options))

@@ -85,7 +85,7 @@ def test_criterion_06_vc1_equivalence(capfd):
 
 
 def test_criterion_07_connectivity_formula(capfd):
-    report = verify_product_connectivity(max_order=36)
+    report = verify_product_connectivity(max_vertices=36)
     check_sweep(capfd, 7, "product connectivity formula", report)
 
 
@@ -97,7 +97,7 @@ def test_criterion_08_end_edge_trichotomy(capfd):
 
 def test_criterion_09_no_single_edge_msp(capfd):
     # claim verification, not regression: a failure here is a finding
-    report = verify_no_single_edge_msp(max_n=8)
+    report = verify_no_single_edge_msp(max_vertices=8)
     check_sweep(capfd, 9, "no-single-edge-msp claim", report)
 
 
@@ -152,7 +152,7 @@ def test_criterion_10_constructor_certification(capfd):
 
 
 def test_criterion_11_rule_engine_soundness(capfd):
-    report = verify_soundness(max_n=7)
+    report = verify_soundness(max_vertices=7)
     check_sweep(capfd, 11, "rule-engine soundness", report)
 
 

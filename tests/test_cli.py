@@ -52,6 +52,18 @@ def test_mu_beyond_three_is_a_counterexample(capsys, monkeypatch):
     assert "POTENTIAL COUNTEREXAMPLE TO THE 1-2-3 THEOREM" in err
 
 
+def test_mu_on_disconnected_graph_matches_oracle_method(capsys, tmp_path):
+    # two disjoint paths: mu_exact takes the maximum over the components,
+    # but the witness search needs a connected graph, and both commands
+    # refuse the same way before printing anything
+    path = tmp_path / "two_paths.edges"
+    path.write_text("6 4\n0 1\n1 2\n3 4\n4 5\n", encoding="utf-8")
+    code, out, err = run(capsys, "mu", str(path))
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert "connected" in err
+    assert run(capsys, "weight", str(path), "--method", "oracle") == (code, out, err)
+
+
 def test_mu_rejects_tiny_graph(capsys):
     code, _, err = run(capsys, "mu", "path:2")
     assert code == EXIT_PRECONDITION
@@ -102,6 +114,37 @@ def test_weight_bipk2(capsys):
     assert len(edges) == 6 + 6 + 6
     g = Graph(12, edges)
     assert is_proper(g, w)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["cycle:6", "--method", "bipk2", "--k", "3"], "--k"),
+        (["cycle:6", "--method", "bipk2", "--force"], "--force"),
+        (["cycle:6", "--method", "oracle", "--vertex", "0"], "--vertex"),
+        (["kpart:2,3", "--method", "dominant", "--k", "2"], "--k"),
+    ],
+)
+def test_weight_refuses_options_the_method_does_not_take(capsys, argv, flag):
+    code, out, err = run(capsys, "weight", *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert f"does not take {flag}" in err
+
+
+def test_weight_product_force_reaches_factor_searches(capsys):
+    # C27 needs a k = 3 search on 27 edges, above the guard
+    code, _, err = run(
+        capsys, "weight", "product(cycle:27,path:3)", "--method", "product"
+    )
+    assert code == EXIT_CAP
+    assert "force" in err
+    code, out, _ = run(
+        capsys, "weight", "product(cycle:27,path:3)", "--method", "product", "--force"
+    )
+    assert code == EXIT_OK
+    edges, w = parse_weighting(out)
+    assert w.k == 3
+    assert is_proper(Graph(81, edges), w)
 
 
 def test_weight_bipk2_precondition(capsys):
@@ -180,6 +223,23 @@ def test_verify_lemma_23_narrowed_to_small_products():
     report = run_sweep("lemma-2.3", max_vertices=9)
     assert report.ok
     assert report.instances == 3
+
+
+def test_verify_refuses_options_the_sweep_does_not_take(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "thm-1.3", "--max-vertices", "9")
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "--max-vertices" in err
+    code, _, err = run(capsys, "verify", "--theorem", "thm-4.2", "--seed", "4")
+    assert code == EXIT_PARSE
+    assert "--seed" in err and "--max-edges" in err
+
+
+def test_verify_guard_error_exits_cap(capsys):
+    # theta:1,5,21 has mu = 3, and its k = 3 search on 27 edges is above
+    # the guard of 26 edges
+    code, out, err = run(capsys, "verify", "--theorem", "thm-4.2", "--max-edges", "27")
+    assert (code, out) == (EXIT_CAP, "")
+    assert "exceeds the guard" in err
 
 
 def test_verify_unknown_theorem(capsys):

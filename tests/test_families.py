@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -316,3 +317,18 @@ def test_automorphisms_match_brute_force():
         assert len(_automorphisms(clique_graph(n))) == math.factorial(n)
         assert len(_automorphisms(cycle_graph(n))) == 2 * n
         assert len(_automorphisms(path_graph(n))) == 2
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # the isomorphism backtracker recurses without a self-referencing
+    # closure, so a cold enumeration leaves nothing for the cyclic collector
+    _connected_mask_reps.cache_clear()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        enumerate_connected(6)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
