@@ -83,15 +83,16 @@ def _product(source, g, *, force=False):
         factors = split_product_spec("".join(source.split()))
     except FamilyError as exc:
         raise CliError(EXIT_PARSE, f"bad product spec {source!r}: {exc}")
-    if factors is None:
+    if factors is None or os.path.exists(source):
         raise CliError(
             EXIT_PRECONDITION,
             "method 'product' needs a product(spec,spec) source",
         )
-    ga, gb = (load_graph(f) for f in factors)
+    # g is make(source), the product of the factors' graphs
+    ga, gb = (make(f) for f in factors)
     wa = find_weighting(ga, mu_exact(ga, force=force), force=force)
     wb = find_weighting(gb, mu_exact(gb, force=force), force=force)
-    return cartesian_product(ga, gb), product_weighting(ga, wa, gb, wb)
+    return g, product_weighting(ga, wa, gb, wb)
 
 
 def _bipk2(source, g):

@@ -86,7 +86,7 @@ def test_criterion_06_vc1_equivalence(capfd):
 
 def test_criterion_07_connectivity_formula(capfd):
     report = verify_product_connectivity(max_vertices=36)
-    check_sweep(capfd, 7, "product connectivity formula", report)
+    check_sweep(capfd, 7, "product connectivity formula", report, budget=240)
 
 
 def test_criterion_08_end_edge_trichotomy(capfd):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from vcew import cli
+from vcew import cli, constructors, families, graph
 from vcew.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -105,6 +105,40 @@ def test_weight_product_malformed_spec(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "weight", "product(path:3)", "--method", "product")
     assert code == EXIT_PARSE
     assert "bad product spec" in err
+
+
+def test_weight_product_builds_the_product_twice(capsys, monkeypatch):
+    # once when the source is loaded and once when product_weighting
+    # certifies its weighting; the builder reuses the loaded host
+    calls = []
+
+    def counted(g, h):
+        calls.append((g.n, h.n))
+        return graph.cartesian_product(g, h)
+
+    for module in (families, cli, constructors):
+        monkeypatch.setattr(module, "cartesian_product", counted)
+    code, out, _ = run(
+        capsys, "weight", "product(cycle:12,cycle:9)", "--method", "product"
+    )
+    assert code == EXIT_OK
+    assert calls == [(12, 9), (12, 9)]
+    edges, w = parse_weighting(out)
+    assert is_proper(Graph(108, edges), w)
+
+
+def test_weight_product_refuses_a_graph_file(capsys, tmp_path, monkeypatch):
+    # a file whose name is a product spec holds its own graph, not the
+    # product the name spells
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "product(path:3,path:3)").write_text(
+        "4 3\n0 1\n1 2\n2 3\n", encoding="utf-8"
+    )
+    code, out, err = run(
+        capsys, "weight", "product(path:3,path:3)", "--method", "product"
+    )
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert "needs a product(spec,spec) source" in err
 
 
 def test_weight_bipk2(capsys):

@@ -4,6 +4,7 @@ from collections import deque
 
 import pytest
 
+from vcew import graph
 from vcew.graph import (
     Graph,
     GraphError,
@@ -24,6 +25,7 @@ from vcew.families import (
     cycle_graph,
     enumerate_connected,
     hypercube_graph,
+    make,
     path_graph,
     theta_graph,
 )
@@ -209,3 +211,112 @@ def test_vertex_connectivity_matches_networkx_on_products():
         ref.add_nodes_from(range(prod.n))
         ref.add_edges_from(prod.edges)
         assert vertex_connectivity(prod) == nx.node_connectivity(ref), prod.edges
+
+
+def _separated_graphs(count, seed):
+    """Seeded graphs with kappa < delta: two halves of minimum degree at
+    least d, with no edge between them, joined through a separator of
+    s < d vertices; vertex 0 lies in a half, never in the separator."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(10, 30)
+        d = rng.randint(3, min(6, n // 3))
+        s = rng.randint(1, d - 1)
+        a = rng.randint(d + 1 - s, n - s - (d + 1 - s))
+        order = list(range(1, n))
+        rng.shuffle(order)
+        order.insert(rng.randrange(a), 0)
+        left = set(order[:a])
+        right = set(order[a + s:])
+        sep = order[a:a + s]
+
+        def allowed(u, v):
+            return u != v and not (
+                (u in left and v in right) or (u in right and v in left)
+            )
+
+        nbrs = [set() for _ in range(n)]
+        p = rng.uniform(0.2, 0.6)
+        for u, v in itertools.combinations(range(n), 2):
+            if allowed(u, v) and rng.random() < p:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        for x in sep:  # a neighbour on each side
+            for half in (left, right):
+                v = rng.choice(sorted(half))
+                nbrs[x].add(v)
+                nbrs[v].add(x)
+        for u in range(n):
+            while len(nbrs[u]) < d:
+                v = rng.choice([v for v in range(n) if allowed(u, v) and v not in nbrs[u]])
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+        edges = [(u, v) for u in range(n) for v in nbrs[u] if u < v]
+        rng.shuffle(edges)
+        graphs.append(Graph(n, edges))
+    return graphs
+
+
+def test_vertex_connectivity_below_min_degree_matches_brute_force():
+    # the flow kernel links vertices at best = delta before a flow lowers
+    # best to kappa, so these graphs exercise every step of its rule
+    graphs = [g for g in _separated_graphs(100, seed=1984) if g.n <= 14]
+    assert len(graphs) >= 20
+    for g in graphs:
+        kappa = vertex_connectivity(g)
+        assert kappa < min(g.degrees), g.edges
+        assert kappa == _brute_force_kappa(g), g.edges
+
+
+def test_vertex_connectivity_below_min_degree_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in _separated_graphs(100, seed=1984) if g.n > 14]
+    assert len(graphs) >= 50
+    for g in graphs:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges)
+        kappa = vertex_connectivity(g)
+        assert kappa < min(g.degrees), g.edges
+        assert kappa == nx.node_connectivity(ref), g.edges
+
+
+def _esfahanian_hakimi_pairs(g):
+    """The s-t pairs of Esfahanian--Hakimi from the lowest-id min-degree
+    vertex v0: its non-neighbours, and its non-adjacent neighbour pairs."""
+    v0 = min(range(g.n), key=g.degrees.__getitem__)
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    far = [t for t in range(g.n) if t != v0 and t not in nbrs[v0]]
+    inner = [
+        (x, y)
+        for x, y in itertools.combinations(sorted(nbrs[v0]), 2)
+        if y not in nbrs[x]
+    ]
+    return len(far) + len(inner)
+
+
+@pytest.mark.parametrize(
+    "spec, kappa, pairs, flows",
+    [
+        ("hypercube:5", 5, 36, 21),
+        ("product(cycle:6,cycle:6)", 4, 37, 20),
+        ("product(path:5,path:7)", 2, 33, 5),
+        ("product(clique:4,path:6)", 4, 22, 13),
+    ],
+)
+def test_flow_connectivity_skips_flows_menger_decides(monkeypatch, spec, kappa, pairs, flows):
+    # a kernel that runs a flow for every Esfahanian--Hakimi pair gets
+    # every kappa right and fails here
+    calls = [0]
+    st_flow = graph._st_flow
+
+    def counted(*args):
+        calls[0] += 1
+        return st_flow(*args)
+
+    monkeypatch.setattr(graph, "_st_flow", counted)
+    g = make(spec)
+    assert vertex_connectivity(g) == kappa
+    assert _esfahanian_hakimi_pairs(g) == pairs
+    assert calls[0] <= flows < pairs
