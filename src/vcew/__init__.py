@@ -52,8 +52,10 @@ from .graph import (
     blocks_and_cut_vertices,
     cartesian_product,
     connected_components,
+    connected_without,
     degree_sequence,
     distance,
+    distances,
     induced_subgraph,
     is_connected,
     is_cycle_graph,

@@ -8,8 +8,7 @@ from .graph import (
     Graph,
     GraphError,
     bipartition,
-    connected_components,
-    induced_subgraph,
+    connected_without,
     is_connected,
     is_cycle_graph,
     maximal_simple_paths,
@@ -153,23 +152,20 @@ def _dominant_vertex(g: Graph):
         nbrs = g.neighbors(v)
         if not nbrs or any(g.degrees[u] >= g.degrees[v] for u in nbrs):
             continue
-        rest = [x for x in range(g.n) if x != v]
-        if is_connected(induced_subgraph(g, rest)[0]):
+        if connected_without(g, (v,)):
             return v
     return None
 
 
 def _isolated_degree_closed(g: Graph):
     # vertex whose degree differs from all neighbor degrees, with
-    # G - N[v] connected (or empty)
+    # G - N[v] non-empty and connected
     for v in range(g.n):
         nbrs = g.neighbors(v)
         if g.degrees[v] in {g.degrees[u] for u in nbrs}:
             continue
-        rest = [x for x in range(g.n) if x != v and x not in nbrs]
-        if not rest:
-            continue
-        if len(connected_components(induced_subgraph(g, rest)[0])) <= 1:
+        closed = {v, *nbrs}
+        if len(closed) < g.n and connected_without(g, closed):
             return v
     return None
 
@@ -181,8 +177,7 @@ def _isolated_degree_min(g: Graph):
             continue
         if g.degrees[v] in {g.degrees[u] for u in g.neighbors(v)}:
             continue
-        rest = [x for x in range(g.n) if x != v]
-        if is_connected(induced_subgraph(g, rest)[0]):
+        if connected_without(g, (v,)):
             return v
     return None
 

@@ -17,13 +17,14 @@ from .graph import (
     bipartition,
     blocks_and_cut_vertices,
     cartesian_product,
+    distances,
     induced_subgraph,
     is_connected,
     is_cycle_graph,
     maximal_simple_paths,
 )
 from .oracle import SearchConstraints, find_weighting
-from .weighting import EdgeWeighting, induced_coloring, is_proper
+from .weighting import EdgeWeighting, is_proper
 
 
 class PreconditionError(ValueError):
@@ -115,16 +116,8 @@ def degree_component_partition(g: Graph):
 
     def spread(cid, start):
         # within one equal-degree component the cross weight follows
-        # the anchor, flipped on odd distance in g (one BFS from start)
-        dist = [-1] * g.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y, _ in g.adjacency[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        # the anchor, flipped on odd distance in g
+        dist = distances(g, start)
         for v in comps[cid]:
             if v != start:
                 cross[v] = cross[start] if not dist[v] & 1 else 3 - cross[start]
@@ -216,12 +209,13 @@ def msp_pattern_weighting(g: Graph, variant: str) -> EdgeWeighting:
     """Proper 2-weighting from periodic patterns on maximal simple paths.
 
     Variant 'A' (no single-edge path; no 1-mod-4 path joining two
-    degree-3 vertices): 2-mod-4 paths get 1,1,2,2, all others 2,1,1,2,
-    then a repair loop flips conflicting 1-mod-4 paths to 1,1,2,2.
+    degree-3 vertices): 2-mod-4 paths get 1,1,2,2, all others 2,1,1,2.
 
     Variant 'B' (no 3-mod-4 path; every single-edge path joins vertices
-    of different degrees): 2-mod-4 paths get 2,2,1,1, others 2,1,1,2,
-    no repair needed.
+    of different degrees): 2-mod-4 paths get 2,2,1,1, others 2,1,1,2.
+
+    Each path is walked from its smaller endpoint.  An improper result
+    raises ClaimFailure.
     """
     if variant not in ("A", "B"):
         raise PreconditionError(f"unknown variant {variant!r}")
@@ -265,66 +259,9 @@ def msp_pattern_weighting(g: Graph, variant: str) -> EdgeWeighting:
         ]
 
     weights = _apply_patterns(g, msp, patterns)
-    if variant == "A":
-        weights = _repair(g, msp, lengths, patterns, weights)
     return _certify(
         g, EdgeWeighting(k=2, weights=tuple(weights)), f"msp patterns ({variant})"
     )
-
-
-def _repair(g: Graph, msp, lengths, patterns, weights):
-    # flip 1-mod-4 paths from 2,1,1,2 to 1,1,2,2 while a degree-3 vertex
-    # of color 4 conflicts; each flip must strictly reduce conflicts
-    path_of_edge = [0] * g.m
-    for pid, p in enumerate(msp.paths):
-        for eid in p.edge_ids:
-            path_of_edge[eid] = pid
-    budget = sum(1 for l in lengths if l % 4 == 1)
-    while True:
-        w = EdgeWeighting(k=2, weights=tuple(weights))
-        verdict = is_proper(g, w)
-        if verdict.proper:
-            return weights
-        if budget < 0:
-            raise ClaimFailure("msp repair loop exceeded its flip budget")
-        colors = induced_coloring(g, w).colors
-        before = len(verdict.conflicts)
-        flipped = False
-        for eid in verdict.conflicts:
-            for v in g.edges[eid]:
-                if g.degrees[v] != 3 or colors[v] != 4:
-                    continue
-                for _, ie in g.adjacency[v]:
-                    pid = path_of_edge[ie]
-                    if (
-                        weights[ie] == 2
-                        and lengths[pid] % 4 == 1
-                        and patterns[pid] == "2112"
-                    ):
-                        patterns[pid] = "1122"
-                        pat = _PATTERN["1122"]
-                        for i, pe in enumerate(msp.paths[pid].edge_ids):
-                            weights[pe] = pat[i % 4]
-                        flipped = True
-                        break
-                if flipped:
-                    break
-            if flipped:
-                break
-        if not flipped:
-            raise ClaimFailure(
-                "msp repair loop found a conflict with no flippable "
-                f"1-mod-4 path (conflicts {verdict.conflicts})"
-            )
-        after = len(
-            is_proper(g, EdgeWeighting(k=2, weights=tuple(weights))).conflicts
-        )
-        if after >= before:
-            raise ClaimFailure(
-                "msp repair flip did not reduce the conflict count "
-                f"({before} -> {after})"
-            )
-        budget -= 1
 
 
 def _block_walk(g: Graph, blk, start):

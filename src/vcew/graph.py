@@ -125,10 +125,37 @@ def degree_sequence(g: Graph):
     return sorted(g.degrees, reverse=True)
 
 
+def distances(g: Graph, start: int, removed=()):
+    """BFS distances from ``start`` in g minus the vertices ``removed``.
+
+    A dict from each vertex reachable from ``start`` to its distance, in
+    BFS visit order (neighbors in edge-id order); ``start`` itself must
+    not be removed.
+    """
+    blocked = frozenset(removed)
+    dist = {start: 0}
+    order = [start]  # the BFS queue: a list grows under its iterator
+    for x in order:
+        d = dist[x] + 1
+        for y, _ in g.adjacency[x]:
+            if y not in dist and y not in blocked:
+                dist[y] = d
+                order.append(y)
+    return dist
+
+
+def connected_without(g: Graph, removed) -> bool:
+    """Whether g minus the vertices ``removed`` (vertices of g) is
+    connected; a graph with no vertex left counts as connected."""
+    blocked = frozenset(removed)
+    for start in range(g.n):
+        if start not in blocked:
+            return len(distances(g, start, blocked)) == g.n - len(blocked)
+    return True
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(_component_of(g, 0)) == g.n
+    return g.n == 0 or len(distances(g, 0)) == g.n
 
 
 def connected_components(g: Graph):
@@ -137,23 +164,11 @@ def connected_components(g: Graph):
     comps = []
     for v in range(g.n):
         if not seen[v]:
-            comp = _component_of(g, v)
+            comp = sorted(distances(g, v))
             for u in comp:
                 seen[u] = True
-            comps.append(sorted(comp))
+            comps.append(comp)
     return comps
-
-
-def _component_of(g: Graph, start: int):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u, _ in g.adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
 
 
 def bipartition(g: Graph):
@@ -180,19 +195,10 @@ def bipartition(g: Graph):
 
 def distance(g: Graph, u: int, v: int) -> int:
     """BFS shortest-path length; raises GraphError on unreachable pairs."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y, _ in g.adjacency[x]:
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                queue.append(y)
-    raise GraphError(f"vertices {u} and {v} are in different components")
+    dist = distances(g, u).get(v)
+    if dist is None:
+        raise GraphError(f"vertices {u} and {v} are in different components")
+    return dist
 
 
 def blocks_and_cut_vertices(g: Graph) -> BlockDecomposition:

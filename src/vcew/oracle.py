@@ -31,6 +31,7 @@ from .graph import (
     GraphError,
     _csr_adjacency,
     connected_components,
+    distances,
     induced_subgraph,
     is_connected,
 )
@@ -81,22 +82,13 @@ class SearchConstraints:
 def _bfs_edge_order(g: Graph):
     # edges in first-encountered order along a BFS from vertex 0, so
     # adjacent edges are assigned near each other and pruning bites early
-    from collections import deque
-
-    seen_v = [False] * g.n
-    seen_e = [False] * g.m
+    seen = [False] * g.m
     order = []
-    seen_v[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u, eid in g.adjacency[v]:
-            if not seen_e[eid]:
-                seen_e[eid] = True
+    for v in distances(g, 0):
+        for _, eid in g.adjacency[v]:
+            if not seen[eid]:
+                seen[eid] = True
                 order.append(eid)
-            if not seen_v[u]:
-                seen_v[u] = True
-                queue.append(u)
     return order
 
 

@@ -33,6 +33,7 @@ from .families import (
     cycle_graph,
     enumerate_connected,
     gpt_graph,
+    make,
     path_graph,
     random_connected_bipartite,
     theta_graph,
@@ -46,6 +47,7 @@ from .graph import (
     vertex_connectivity,
 )
 from .oracle import (
+    MAX_EDGES_K2,
     EndEdgeBehavior,
     InconsistentEndEdges,
     end_edge_behavior,
@@ -121,14 +123,8 @@ def verify_mu_table(report):
 
 
 _COMPOSITION_SOURCES = (
-    ("path:3", lambda: path_graph(3)),
-    ("path:4", lambda: path_graph(4)),
-    ("path:5", lambda: path_graph(5)),
-    ("path:6", lambda: path_graph(6)),
-    ("cycle:4", lambda: cycle_graph(4)),
-    ("cycle:8", lambda: cycle_graph(8)),
-    ("clique:3", lambda: clique_graph(3)),
-    ("clique:4", lambda: clique_graph(4)),
+    "path:3", "path:4", "path:5", "path:6",
+    "cycle:4", "cycle:8", "clique:3", "clique:4",
 )
 
 
@@ -136,8 +132,8 @@ _COMPOSITION_SOURCES = (
 def verify_product_composition(report):
     """Composed product weightings are proper with k = max of the inputs."""
     prepared = []
-    for name, build in _COMPOSITION_SOURCES:
-        g = build()
+    for name in _COMPOSITION_SOURCES:
+        g = make(name)
         w = find_weighting(g, mu_exact(g))
         prepared.append((name, g, w))
     for (name_g, g, wg), (name_h, h, wh) in itertools.combinations_with_replacement(
@@ -201,7 +197,7 @@ def verify_bipartite_products(report, *, samples: int = 100, seed: int = 0):
             report.record_failure(desc, "proper", str(exc))
             continue
         prod = cartesian_product(g, k2)
-        if prod.m <= 40:
+        if prod.m <= MAX_EDGES_K2:
             report.check(f"{desc} mu<=2", True, has_weighting(prod, 2))
         else:
             report.record_pass(desc)
@@ -231,7 +227,7 @@ def verify_multipartite(report):
         except ClaimFailure as exc:
             report.record_failure(desc, "proper", str(exc))
             continue
-        if g.m <= 40:
+        if g.m <= MAX_EDGES_K2:
             report.check(f"{desc} mu", 2, mu_exact(g))
         else:
             report.record_pass(desc)

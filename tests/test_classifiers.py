@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from vcew.classifiers import (
@@ -13,6 +15,7 @@ from vcew.families import (
     clique_graph,
     complete_multipartite,
     cycle_graph,
+    enumerate_connected,
     hypercube_graph,
     path_graph,
     theta_graph,
@@ -133,3 +136,19 @@ def test_bounds_never_undercut_oracle_spot_checks():
         cert = mu_upper_bound(g)
         if g.m <= 26:
             assert cert.bound >= mu_exact(g)
+
+
+# SHA-256 of repr([(bound, rule, witness_details), ...]) of mu_upper_bound
+# over the 12,111 graphs of enumerate_connected(3..8), in enumeration
+# order; it pins which vertex each isolated-degree rule names
+RULE_ENGINE_SHA256 = "331ee65e52cd7e3623b8560c6434ad92892262fdd1995e9697937c7d0b438078"
+
+
+def test_rule_engine_outputs_are_pinned():
+    certs = [
+        (cert.bound, cert.rule, cert.witness_details)
+        for n in range(3, 9)
+        for cert in map(mu_upper_bound, enumerate_connected(n))
+    ]
+    assert len(certs) == 12111
+    assert hashlib.sha256(repr(certs).encode()).hexdigest() == RULE_ENGINE_SHA256

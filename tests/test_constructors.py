@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -26,6 +27,7 @@ from vcew.families import (
     clique_graph,
     complete_multipartite,
     cycle_graph,
+    enumerate_connected,
     path_graph,
     random_connected_bipartite,
     theta_graph,
@@ -148,6 +150,53 @@ def test_msp_pattern_preconditions():
         msp_pattern_weighting(theta_graph([1, 2, 2]), "B")  # unit path, equal degrees
     with pytest.raises(PreconditionError):
         msp_pattern_weighting(cycle_graph(6), "C")
+
+
+# SHA-256 of repr([outcome, ...]) of msp_pattern_weighting over the
+# 12,111 graphs of enumerate_connected(3..8), in enumeration order: the
+# weights, or the exception class plus a PreconditionError's message
+MSP_PATTERN_SHA256 = {
+    "A": "ce698c6f38915e92d9483ea13eb202e7ecffbd9d694acd170f335dbf703c3913",
+    "B": "0a2b2ce1b86bdb412885b836636216433e364985caa6a576ff96c8b3451f71ba",
+}
+
+
+def _msp_outcome(g, variant):
+    try:
+        return msp_pattern_weighting(g, variant).weights
+    except PreconditionError as exc:
+        return ("PreconditionError", str(exc))
+    except ClaimFailure:
+        return ("ClaimFailure",)
+
+
+@pytest.mark.parametrize("variant", sorted(MSP_PATTERN_SHA256))
+def test_msp_pattern_outcomes_are_pinned(variant):
+    outcomes = [
+        _msp_outcome(g, variant) for n in range(3, 9) for g in enumerate_connected(n)
+    ]
+    assert len(outcomes) == 12111
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == MSP_PATTERN_SHA256[variant]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ClaimFailure,
+    reason="variant A leaves a colour-4 conflict at the degree-3 end of a "
+    "1-mod-4 path (ROADMAP item 5)",
+)
+def test_msp_a_cycle_with_pendant_path():
+    # the 6-cycle 7-10-0-6-8-4-7 with the pendant path 7-5-2-9-1-3 meets
+    # variant A's preconditions and has mu = 2; the pendant path, walked
+    # 2,1,1,2,2 from vertex 3, gives 5 and 7 the same colour 4
+    g = Graph(11, [
+        (7, 10), (0, 10), (0, 6), (6, 8), (5, 7), (2, 5),
+        (2, 9), (1, 9), (1, 3), (4, 7), (4, 8),
+    ])
+    assert mu_exact(g) == 2
+    w = msp_pattern_weighting(g, "A")
+    assert w.k == 2 and is_proper(g, w).proper
 
 
 def test_cycle_block_instances():

@@ -12,8 +12,10 @@ from vcew.graph import (
     blocks_and_cut_vertices,
     cartesian_product,
     connected_components,
+    connected_without,
     degree_sequence,
     distance,
+    distances,
     induced_subgraph,
     is_connected,
     is_cycle_graph,
@@ -137,6 +139,46 @@ def test_hypercube_product_identity():
     assert all(d == 3 for d in q3.degrees)
 
 
+def _networkx_graph(nx, g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    return ref
+
+
+def test_traversal_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(3, 7):
+        for g in enumerate_connected(n):
+            ref = _networkx_graph(nx, g)
+            for s in range(g.n):
+                dist = distances(g, s)
+                assert dist == nx.single_source_shortest_path_length(ref, s), g.edges
+                assert list(dist.values()) == sorted(dist.values())  # BFS order
+            cuts = [{v} for v in range(g.n)]
+            cuts += [{v, *g.neighbors(v)} for v in range(g.n)]
+            for cut in cuts:
+                rest = ref.subgraph(set(range(g.n)) - cut)
+                expected = len(rest) == 0 or nx.is_connected(rest)
+                assert connected_without(g, cut) == expected, (g.edges, cut)
+
+
+def test_connected_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3266)
+    split = isolated = 0
+    for _ in range(50):
+        n = rng.randint(6, 20)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 1.5 / n]
+        g = Graph(n, edges)
+        expected = sorted(sorted(c) for c in nx.connected_components(_networkx_graph(nx, g)))
+        comps = connected_components(g)
+        assert comps == expected, edges
+        split += len(comps) > 1
+        isolated += any(len(c) == 1 for c in comps)
+    assert split >= 40 and isolated >= 40
+
+
 def test_induced_subgraph():
     g = theta_graph([2, 2, 2])
     sub, vmap, emap = induced_subgraph(g, [0, 2, 1])
@@ -207,9 +249,7 @@ def test_vertex_connectivity_matches_brute_force_on_products():
 def test_vertex_connectivity_matches_networkx_on_products():
     nx = pytest.importorskip("networkx")
     for prod in _product_sample(36, 150, seed=2013):
-        ref = nx.Graph()
-        ref.add_nodes_from(range(prod.n))
-        ref.add_edges_from(prod.edges)
+        ref = _networkx_graph(nx, prod)
         assert vertex_connectivity(prod) == nx.node_connectivity(ref), prod.edges
 
 
@@ -274,9 +314,7 @@ def test_vertex_connectivity_below_min_degree_matches_networkx():
     graphs = [g for g in _separated_graphs(100, seed=1984) if g.n > 14]
     assert len(graphs) >= 50
     for g in graphs:
-        ref = nx.Graph()
-        ref.add_nodes_from(range(g.n))
-        ref.add_edges_from(g.edges)
+        ref = _networkx_graph(nx, g)
         kappa = vertex_connectivity(g)
         assert kappa < min(g.degrees), g.edges
         assert kappa == nx.node_connectivity(ref), g.edges
