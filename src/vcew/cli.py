@@ -36,8 +36,8 @@ from .oracle import (
     DEFAULT_K_MAX,
     NotFoundWithinCap,
     SearchGuardError,
+    _mu_witness,
     find_weighting,
-    mu_exact,
 )
 from .verify import given_options, run_sweep, theorem_ids
 from .weighting import is_proper
@@ -71,7 +71,7 @@ def load_graph(source: str) -> Graph:
 
 def _oracle(source, g, *, k=None, kmax=DEFAULT_K_MAX, force=False):
     if k is None:
-        k = mu_exact(g, k_max=kmax, force=force)
+        return g, _mu_witness(g, k_max=kmax, force=force)
     w = find_weighting(g, k, force=force)
     if w is None:
         raise CliError(EXIT_CAP, f"no proper {k}-weighting exists")
@@ -90,8 +90,8 @@ def _product(source, g, *, force=False):
         )
     # g is make(source), the product of the factors' graphs
     ga, gb = (make(f) for f in factors)
-    wa = find_weighting(ga, mu_exact(ga, force=force), force=force)
-    wb = find_weighting(gb, mu_exact(gb, force=force), force=force)
+    wa = _mu_witness(ga, force=force)
+    wb = _mu_witness(gb, force=force)
     return g, product_weighting(ga, wa, gb, wb)
 
 

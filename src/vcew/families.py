@@ -451,12 +451,15 @@ def _connected_mask_reps(n: int):
             masks = [base[v] | (((subset >> v) & 1) << top) for v in range(top)]
             masks.append(subset)
             col, key = _wl_colors(masks, n)
-            bucket = buckets.setdefault(key, [])
+            # bucketed by the signature's hash, not the signature, which
+            # is most of a bucket's memory; a collision only adds tests
+            bucket = buckets.setdefault(hash(key), [])
             if not any(
                 _masks_isomorphic(masks, col, m2, c2, n) for m2, c2 in bucket
             ):
+                masks = tuple(masks)
                 bucket.append((masks, col))
-                reps.append(tuple(masks))
+                reps.append(masks)
     return tuple(reps)
 
 

@@ -15,6 +15,19 @@ class GraphError(ValueError):
     """Malformed graph input or a violated operation precondition."""
 
 
+# One shared tuple per (a, b) pair of ints below _PAIR_LIMIT: the edge
+# keys and adjacency entries of every Graph that fit take it from here,
+# so the many small graphs of a sweep hold no copies of the same pairs.
+# Bounded at _PAIR_LIMIT ** 2 entries, filled as pairs first occur.
+_PAIR_LIMIT = 64
+_PAIRS = [None] * (_PAIR_LIMIT * _PAIR_LIMIT)
+
+
+def _new_pair(a: int, b: int):
+    p = _PAIRS[a * _PAIR_LIMIT + b] = (a, b)
+    return p
+
+
 class Graph:
     """Finite simple undirected graph with stable vertex/edge identifiers.
 
@@ -29,6 +42,7 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
+        pairs, limit = _PAIRS, _PAIR_LIMIT
         norm = []
         seen = set()
         for u, v in edges:
@@ -36,15 +50,24 @@ class Graph:
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+            if u > v:
+                u, v = v, u
+            if v < limit:
+                key = pairs[u * limit + v] or _new_pair(u, v)
+            else:
+                key = (u, v)
             if key in seen:
-                raise GraphError(f"parallel edge ({key[0]},{key[1]})")
+                raise GraphError(f"parallel edge ({u},{v})")
             seen.add(key)
             norm.append(key)
         adjacency = [[] for _ in range(n)]
         for eid, (u, v) in enumerate(norm):
-            adjacency[u].append((v, eid))
-            adjacency[v].append((u, eid))
+            if eid < limit and v < limit:
+                adjacency[u].append(pairs[v * limit + eid] or _new_pair(v, eid))
+                adjacency[v].append(pairs[u * limit + eid] or _new_pair(u, eid))
+            else:
+                adjacency[u].append((v, eid))
+                adjacency[v].append((u, eid))
         self.n = n
         self.edges = tuple(norm)
         # tuples from lists, not generators: a generator's tuple is

@@ -18,6 +18,23 @@ only searches the weights below the one that completion already carries
 lex-least witness directly, but edge ids saturate vertices late on many
 graphs: on ``product(clique:4,path:4)`` that one search takes over a
 minute where the pinned re-searches take milliseconds.
+
+Unconstrained searches (``mu_exact``, and ``has_weighting`` with no
+pins and no parities) also break twin-class symmetry.  Twins are
+vertices with equal closed or equal open neighbourhoods, and any
+permutation of a twin class is an automorphism: it maps a proper
+weighting to a proper weighting with the vertex sums of the class
+permuted.  So a graph has a proper k-weighting iff it has one whose
+sums never decrease along each class in ascending vertex id (a
+symmetry-breaking predicate, Crawford, Ginsberg, Luks & Roy, KR 1996;
+the same symmetry gives mu(K_n) = 3, Karonski, Luczak & Thomason,
+JCTB 91, 2004), and the kernel prunes every other branch.  A pin or a
+parity constraint on one vertex of a class does not move with the
+permutation, so a constrained search, such as each pinned search of
+``find_weighting``, is never pruned this way.  Any proper completion,
+pruned or not, is a valid start for the pinning loop, so
+``_mu_witness`` hands it the completion that settled mu and ``vcew
+mu`` makes that search once.
 """
 
 from __future__ import annotations
@@ -98,6 +115,34 @@ def _prep(g: Graph):
     return (eu, ev, _bfs_edge_order(g), *_csr_adjacency(g))
 
 
+def _twin_chains(g: Graph):
+    """The twin classes of ``g`` as chains in ascending vertex id, or
+    None when no vertex has a twin.
+
+    Returns ``(before, after)``: the previous and next vertex of each
+    vertex's class, the vertex itself at either end of its chain and
+    for a vertex with no twin.  A vertex cannot have both a true twin
+    and a false twin, so the classes are disjoint.
+    """
+    before = after = None
+    last = {}  # neighbourhood mask -> latest vertex with it
+    for v, adj in enumerate(g.adjacency):
+        open_mask = 0
+        for y, _ in adj:
+            open_mask |= 1 << y
+        # N(u) = N[v] would put u in N(u), so no open mask is a closed one
+        for mask in (open_mask, open_mask | 1 << v):
+            u = last.get(mask)
+            last[mask] = v
+            if u is not None:
+                if before is None:
+                    before = list(range(g.n))
+                    after = list(range(g.n))
+                before[v] = u
+                after[u] = v
+    return None if before is None else (before, after)
+
+
 def _constraint_arrays(g: Graph, k: int, cons: SearchConstraints):
     fixed = [0] * g.m
     for eid, w in cons.fixed_weights.items():
@@ -136,7 +181,7 @@ def _check_search_pre(g: Graph, k: int, force: bool):
             )
 
 
-def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat):
+def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat, twins):
     """Backtracking search for a proper edge weighting.
 
     Edges are assigned in ``order``; weight values are tried in
@@ -148,6 +193,11 @@ def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat):
     fixed[e] > 0 pins edge e to that weight; parity[v] in {-1, 0, 1}
     requires no constraint / an even color / an odd color at v.
 
+    ``twins`` is None or the ``(before, after)`` chains of
+    ``_twin_chains``; with chains, only weightings whose sums never
+    decrease along a chain are searched.  Pass them only to a search
+    with no pins and no parities.
+
     Returns a per-edge-id weight list, or None.
     """
     if m == 0:
@@ -157,7 +207,7 @@ def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat):
     csum = [0] * n
     cur = [0] * m
 
-    def saturated_ok(x):
+    def proper_ok(x):
         cx = csum[x]
         if parity[x] >= 0 and (cx & 1) != parity[x]:
             return False
@@ -166,6 +216,23 @@ def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat):
             if rem[y] == 0 and csum[y] == cx:
                 return False
         return True
+
+    before, after = twins or ((), ())
+
+    def ordered_ok(x):
+        # x is saturated; reject it if its class predecessor must end
+        # above it or its successor below it: each open edge adds 1..k,
+        # so y ends in csum[y] + rem[y] .. csum[y] + k * rem[y]
+        cx = csum[x]
+        y = before[x]
+        if csum[y] + rem[y] > cx:
+            return False
+        y = after[x]
+        if csum[y] + k * rem[y] < cx:
+            return False
+        return proper_ok(x)
+
+    saturated_ok = proper_ok if twins is None else ordered_ok
 
     def try_assign(e, wt):
         u = eu[e]
@@ -222,13 +289,15 @@ def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat):
                 return None
 
 
-def _exists(g: Graph, k: int, fixed, parity, prep):
+def _exists(g: Graph, k: int, fixed, parity, prep, twins=None):
     # pinned edges first: the pinned prefix is one linear pass, and every
     # vertex saturates no later among the free edges than in BFS order
     eu, ev, bfs, adj_start, adj_flat = prep
     pinned = [e for e in range(g.m) if fixed[e]]
     order = pinned + [e for e in bfs if not fixed[e]] if pinned else bfs
-    return _search(g.n, g.m, eu, ev, order, k, fixed, parity, adj_start, adj_flat)
+    return _search(
+        g.n, g.m, eu, ev, order, k, fixed, parity, adj_start, adj_flat, twins
+    )
 
 
 def find_weighting(
@@ -257,6 +326,12 @@ def find_weighting(
     w = _exists(g, k, fixed, parity, prep)
     if w is None:
         return None
+    return _lex_least(g, k, fixed, parity, prep, w)
+
+
+def _lex_least(g: Graph, k: int, fixed, parity, prep, w) -> EdgeWeighting:
+    # the pinning loop of find_weighting, from a completion w that
+    # respects the pins in fixed; fixed ends as the witness
     for eid in range(g.m):
         if fixed[eid]:
             continue
@@ -281,7 +356,9 @@ def has_weighting(
     cons = cons or SearchConstraints()
     _check_search_pre(g, k, force)
     fixed, parity = _constraint_arrays(g, k, cons)
-    return _exists(g, k, fixed, parity, _prep(g)) is not None
+    free = not cons.fixed_weights and not cons.parity
+    twins = _twin_chains(g) if free else None
+    return _exists(g, k, fixed, parity, _prep(g), twins) is not None
 
 
 def mu_exact(g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False) -> int:
@@ -301,23 +378,39 @@ def mu_exact(g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False) -> int:
                 "mu is undefined"
             )
         sub = induced_subgraph(g, comp)[0] if len(comps) > 1 else g
-        best = max(best, _mu_connected(sub, k_max, force))
+        best = max(best, _mu_connected(sub, k_max, force, _prep(sub))[0])
     return best
 
 
-def _mu_connected(g: Graph, k_max: int, force: bool) -> int:
-    prep = _prep(g)
+def _mu_connected(g: Graph, k_max: int, force: bool, prep):
+    """mu of a connected graph and a proper mu-weighting (per edge id)."""
     no_parity = [-1] * g.n
     no_fixed = [0] * g.m
+    twins = _twin_chains(g)
     for k in range(1, k_max + 1):
         _check_search_pre(g, k, force)
-        if _exists(g, k, no_fixed, no_parity, prep) is not None:
-            return k
+        w = _exists(g, k, no_fixed, no_parity, prep, twins)
+        if w is not None:
+            return k, w
     raise NotFoundWithinCap(
         f"no proper weighting with k <= {k_max} on a connected graph "
         f"(n={g.n}, m={g.m}); if k_max >= 3 this contradicts mu <= 3 "
         "(Keusch 2024) -- please report this instance"
     )
+
+
+def _mu_witness(
+    g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False
+) -> EdgeWeighting:
+    """``find_weighting(g, mu_exact(g, k_max, force), force=force)``,
+    without repeating the search that settled mu: its completion starts
+    the canonicalisation, so the witness is the same."""
+    if g.n < 3 or not is_connected(g):
+        # the witness search refuses such a graph; raise as it does
+        return find_weighting(g, mu_exact(g, k_max, force), force=force)
+    prep = _prep(g)
+    k, w = _mu_connected(g, k_max, force, prep)
+    return _lex_least(g, k, [0] * g.m, [-1] * g.n, prep, w)
 
 
 def enumerate_path_weightings(n: int):

@@ -46,7 +46,7 @@ def test_mu_beyond_three_is_a_counterexample(capsys, monkeypatch):
     def no_weighting(*args, **kwargs):
         raise NotFoundWithinCap("no proper weighting with k <= 5")
 
-    monkeypatch.setattr(cli, "mu_exact", no_weighting)
+    monkeypatch.setattr(cli, "_mu_witness", no_weighting)
     code, _, err = run(capsys, "mu", "cycle:5")
     assert code == EXIT_CAP
     assert "POTENTIAL COUNTEREXAMPLE TO THE 1-2-3 THEOREM" in err

@@ -48,6 +48,43 @@ def test_rejects_loops_and_parallel_edges():
         Graph(2, [(0, 5)])
 
 
+def _plain_edges_and_adjacency(n, edges):
+    # the representation built with a fresh tuple for every pair
+    norm = tuple((u, v) if u < v else (v, u) for u, v in edges)
+    adjacency = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(norm):
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    return norm, tuple(tuple(a) for a in adjacency)
+
+
+def test_shared_pairs_leave_edges_and_adjacency_unchanged():
+    rng = random.Random(64)
+    inputs = [(g.n, g.edges) for n in range(3, 7) for g in enumerate_connected(n)]
+    for n in (5, 40, 64, 65, 130):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = rng.sample(pairs, min(len(pairs), 3 * n))
+        inputs.append((n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen]))
+    for spec in ("path:5000", "clique:12", "product(cycle:9,cycle:9)"):
+        g = make(spec)
+        inputs.append((g.n, g.edges))
+    for n, edges in inputs:
+        g = Graph(n, edges)
+        assert (g.edges, g.adjacency) == _plain_edges_and_adjacency(n, edges), edges
+
+
+def test_shared_pair_table_stays_bounded():
+    limit = graph._PAIR_LIMIT
+    g = make("path:5000")
+    assert len(graph._PAIRS) == limit * limit
+    for i, pair in enumerate(graph._PAIRS):
+        assert pair is None or pair == divmod(i, limit)
+    # pairs below the limit are the table's own tuples: edge 0 is (0, 1),
+    # and vertex 1 reaches 0 by edge 0
+    assert g.edges[0] is graph._PAIRS[1]
+    assert g.adjacency[1][0] is graph._PAIRS[0]
+
+
 def test_degree_sequence_and_handshake():
     g = theta_graph([2, 2, 2])
     assert sum(g.degrees) == 2 * g.m

@@ -24,7 +24,7 @@ from vcew.oracle import (
     has_weighting,
     mu_exact,
 )
-from vcew.weighting import induced_coloring, is_proper
+from vcew.weighting import EdgeWeighting, induced_coloring, is_proper
 
 MU_CASES = [
     (path_graph(3), 1),
@@ -228,3 +228,121 @@ def test_find_weighting_searches_no_more_than_per_weight_rescans(monkeypatch):
         assert calls[0] <= rescans, (g.edges, calls[0], rescans)
         below += calls[0] < rescans
     assert below > 0
+
+
+# ---------------------------------------------------------------------------
+# twin-class symmetry breaking in unconstrained searches
+
+
+def _chains(twins):
+    """The twin classes of ``_twin_chains``' output, each walked from
+    its first vertex."""
+    if twins is None:
+        return []
+    before, after = twins
+    chains = []
+    for v in range(len(before)):
+        if before[v] == v and after[v] != v:
+            chain = [v]
+            while after[chain[-1]] != chain[-1]:
+                chain.append(after[chain[-1]])
+            chains.append(tuple(chain))
+    return chains
+
+
+def test_twin_chains_unit_cases():
+    assert _chains(oracle._twin_chains(clique_graph(6))) == [(0, 1, 2, 3, 4, 5)]
+    star = make("kpart:1,5")  # centre 0, leaves 1..5
+    assert _chains(oracle._twin_chains(star)) == [(1, 2, 3, 4, 5)]
+    assert oracle._twin_chains(cycle_graph(5)) is None
+    k23 = make("kpart:2,3")  # parts {0, 1} and {2, 3, 4}
+    assert _chains(oracle._twin_chains(k23)) == [(0, 1), (2, 3, 4)]
+    # true twins 0, 1 (adjacent, one common neighbour) and false twins
+    # 3, 4 (two pendant leaves of vertex 2)
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])
+    assert _chains(oracle._twin_chains(g)) == [(0, 1), (3, 4)]
+
+
+def _chain_sums_sorted(g, twins, w):
+    sums = [0] * g.n
+    for (u, v), wt in zip(g.edges, w):
+        sums[u] += wt
+        sums[v] += wt
+    before, _ = twins
+    return all(sums[before[v]] <= sums[v] for v in range(g.n))
+
+
+def test_twin_pruning_keeps_existence_on_small_graphs():
+    # every graph on 3..7 vertices and a seeded relabelling of it, so that
+    # chain order and BFS order differ, for k = 1..3: the pruned search
+    # finds a proper weighting exactly when the plain one does, and the
+    # one it finds has non-decreasing sums along every twin chain
+    rng = random.Random(1996)
+    reordered = 0
+    for n in range(3, 8):
+        for base in enumerate_connected(n):
+            perm = rng.sample(range(n), n)
+            relabelled = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
+            for g in (base, relabelled):
+                prep = oracle._prep(g)
+                twins = oracle._twin_chains(g)
+                if twins is None:
+                    continue
+                for k in (1, 2, 3):
+                    plain = oracle._exists(g, k, [0] * g.m, [-1] * g.n, prep)
+                    got = oracle._exists(g, k, [0] * g.m, [-1] * g.n, prep, twins)
+                    assert (got is None) == (plain is None), (g.edges, k)
+                    if got is None:
+                        continue
+                    assert is_proper(g, EdgeWeighting(k, tuple(got))), (g.edges, k)
+                    assert _chain_sums_sorted(g, twins, got), (g.edges, k)
+                    reordered += not _chain_sums_sorted(g, twins, plain)
+    assert reordered > 0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_mu_of_cliques_is_three(n):
+    # K8 needs a k = 3 search on 28 edges, above the guard
+    assert mu_exact(clique_graph(n), force=True) == 3
+
+
+def test_has_weighting_prunes_only_unconstrained_searches(monkeypatch):
+    seen = []
+    search = oracle._search
+
+    def recorded(*args):
+        seen.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_search", recorded)
+    g = clique_graph(5)
+    assert not has_weighting(g, 2)
+    assert has_weighting(g, 3, SearchConstraints(fixed_weights={0: 3}))
+    assert has_weighting(g, 3, SearchConstraints(parity={0: "odd"}))
+    find_weighting(g, 3)
+    assert seen[0] is not None
+    assert seen[1:] == [None] * (len(seen) - 1)
+
+
+def test_mu_witness_is_the_canonical_witness_of_mu(monkeypatch):
+    graphs = [g for n in (3, 4, 5, 6) for g in enumerate_connected(n)]
+    graphs += [theta_graph([2, 3, 4]), theta_graph([1, 5, 5]), cycle_graph(11)]
+    graphs += [make("product(cycle:4,cycle:5)"), make("product(clique:4,path:4)")]
+    for g in graphs:
+        assert oracle._mu_witness(g) == find_weighting(g, mu_exact(g)), g.edges
+    # graphs the witness search refuses raise as the two-step route does
+    for g in (Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), path_graph(2), Graph(0, [])):
+        with pytest.raises(GraphError) as two_step:
+            find_weighting(g, mu_exact(g))
+        with pytest.raises(GraphError) as one_step:
+            oracle._mu_witness(g)
+        assert str(one_step.value) == str(two_step.value)
+    # theta:3,4,5 has mu 2: the k = 2 search that settles mu is not made
+    # again before the canonicalisation
+    g = theta_graph([3, 4, 5])
+    calls = _count_searches(monkeypatch)
+    oracle._mu_witness(g)
+    one_step = calls[0]
+    calls = _count_searches(monkeypatch)
+    find_weighting(g, mu_exact(g))
+    assert one_step < calls[0]
