@@ -240,6 +240,18 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of ``--k`` and ``--kmax``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        # argparse would name this function where the user expects "int"
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vcew",
@@ -251,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mu = sub.add_parser("mu", help="exact mu and a canonical witness")
     p_mu.add_argument("source", help="edge-list file or family spec")
-    p_mu.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
+    p_mu.add_argument("--kmax", type=_positive_int, default=DEFAULT_K_MAX)
     p_mu.add_argument("--force", action="store_true", help="override size guards")
     p_mu.set_defaults(fn=_cmd_mu)
 
@@ -262,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=list(_METHODS),
     )
-    p_w.add_argument("--k", type=int, default=None, help="alphabet size (oracle)")
+    p_w.add_argument(
+        "--k", type=_positive_int, default=None, help="alphabet size (oracle)"
+    )
     p_w.add_argument("--vertex", type=int, default=None, help="dominant vertex")
     p_w.add_argument(
         "--force",

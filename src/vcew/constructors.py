@@ -434,6 +434,8 @@ def dominant_vertex_weighting(g: Graph, v: int) -> EdgeWeighting:
     even on the other).  With an even part the bound holds outright and
     the weighting comes from an unconstrained search.
     """
+    if not 0 <= v < g.n:
+        raise PreconditionError(f"vertex {v} is not in 0..{g.n - 1}")
     if not is_connected(g):
         raise PreconditionError("graph must be connected")
     bip = bipartition(g)

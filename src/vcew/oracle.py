@@ -7,17 +7,17 @@ enumerates every proper 2-weighting of a path and classifies what the
 two end-edges may carry.
 
 Every search is an existence search by the backtracking kernel
-``_search``.  It
-assigns the pinned edges first, in ascending edge id, then the free
-edges in BFS order from vertex 0, so that a vertex saturates (has all
-its edges assigned) early and conflicts prune high in the tree.  With no
-pins the order is the plain BFS order.  ``find_weighting`` pins edge ids
-one by one and reuses the completion of its last successful search: it
-only searches the weights below the one that completion already carries
-(see its docstring).  Searching once in edge-id order would return the
-lex-least witness directly, but edge ids saturate vertices late on many
-graphs: on ``product(clique:4,path:4)`` that one search takes over a
-minute where the pinned re-searches take milliseconds.
+``_search``.  It assigns the pinned edges first, in ascending edge id,
+then the free edges in BFS order from vertex 0, so that a vertex
+saturates (has all its edges assigned) early and conflicts prune high
+in the tree.  With no pins the order is the plain BFS order.
+``find_weighting`` pins edge ids one by one and reuses the completion of
+its last successful search: it only searches the weights below the one
+that completion already carries (see its docstring).  Searching once in
+edge-id order would return the lex-least witness directly, but edge ids
+saturate vertices late on many graphs: on ``product(clique:4,path:4)``
+that one search takes over a minute where the pinned re-searches take
+milliseconds.
 
 Unconstrained searches (``mu_exact``, and ``has_weighting`` with no
 pins and no parities) also break twin-class symmetry.  Twins are
@@ -46,11 +46,9 @@ from itertools import product as iproduct
 from .graph import (
     Graph,
     GraphError,
-    _csr_adjacency,
     connected_components,
     distances,
     induced_subgraph,
-    is_connected,
 )
 from .weighting import EdgeWeighting
 
@@ -96,28 +94,36 @@ class SearchConstraints:
     parity: dict = field(default_factory=dict)
 
 
-def _bfs_edge_order(g: Graph):
-    # edges in first-encountered order along a BFS from vertex 0, so
-    # adjacent edges are assigned near each other and pruning bites early
+def _prep(g: Graph):
+    """The graph-only inputs of ``_search``, or None when ``g`` (with at
+    least one vertex) is disconnected.
+
+    Returns ``(eu, ev, bfs, nbrs)``: the two ends of each edge, the edges
+    in first-encountered order along a BFS from vertex 0 (adjacent edges
+    are assigned near each other, so pruning bites early), and each
+    vertex's neighbours as a bitmask.  That one BFS also tells whether
+    the graph is connected.
+    """
+    visit = distances(g, 0)
+    if len(visit) < g.n:
+        return None
     seen = [False] * g.m
-    order = []
-    for v in distances(g, 0):
+    bfs = []
+    for v in visit:
         for _, eid in g.adjacency[v]:
             if not seen[eid]:
                 seen[eid] = True
-                order.append(eid)
-    return order
-
-
-def _prep(g: Graph):
+                bfs.append(eid)
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    return (eu, ev, _bfs_edge_order(g), *_csr_adjacency(g))
+    nbrs = [sum([1 << y for y, _ in adj]) for adj in g.adjacency]
+    return eu, ev, bfs, nbrs
 
 
-def _twin_chains(g: Graph):
-    """The twin classes of ``g`` as chains in ascending vertex id, or
-    None when no vertex has a twin.
+def _twin_chains(nbrs):
+    """The twin classes of the graph with neighbour bitmasks ``nbrs``
+    (as ``_prep`` builds them) as chains in ascending vertex id, or None
+    when no vertex has a twin.
 
     Returns ``(before, after)``: the previous and next vertex of each
     vertex's class, the vertex itself at either end of its chain and
@@ -126,18 +132,15 @@ def _twin_chains(g: Graph):
     """
     before = after = None
     last = {}  # neighbourhood mask -> latest vertex with it
-    for v, adj in enumerate(g.adjacency):
-        open_mask = 0
-        for y, _ in adj:
-            open_mask |= 1 << y
+    for v, open_mask in enumerate(nbrs):
         # N(u) = N[v] would put u in N(u), so no open mask is a closed one
         for mask in (open_mask, open_mask | 1 << v):
             u = last.get(mask)
             last[mask] = v
             if u is not None:
                 if before is None:
-                    before = list(range(g.n))
-                    after = list(range(g.n))
+                    before = list(range(len(nbrs)))
+                    after = list(range(len(nbrs)))
                 before[v] = u
                 after[u] = v
     return None if before is None else (before, after)
@@ -148,6 +151,8 @@ def _constraint_arrays(g: Graph, k: int, cons: SearchConstraints):
     for eid, w in cons.fixed_weights.items():
         if not (0 <= eid < g.m):
             raise ValueError(f"fixed weight on unknown edge id {eid}")
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise ValueError(f"fixed weight {w!r} is not an integer")
         if not (1 <= w <= k):
             raise ValueError(f"fixed weight {w} outside 1..{k}")
         fixed[eid] = w
@@ -161,143 +166,194 @@ def _constraint_arrays(g: Graph, k: int, cons: SearchConstraints):
     return fixed, parity
 
 
-def _check_search_pre(g: Graph, k: int, force: bool):
+def _search_inputs(g: Graph, k: int, force: bool):
+    """``_prep(g)``, once ``g`` passes the checks of a k-weighting search."""
     if k < 1:
         raise ValueError("k must be positive")
     if g.n < 3:
         raise GraphError("weighting search needs at least three vertices")
-    if not is_connected(g):
+    prep = _prep(g)
+    if prep is None:
         raise GraphError("weighting search requires a connected graph")
-    if not force:
-        if k == 2 and g.m > MAX_EDGES_K2:
-            raise SearchGuardError(
-                f"k=2 search on {g.m} edges exceeds the guard "
-                f"({MAX_EDGES_K2}); pass force=True to override"
-            )
-        if k >= 3 and g.m > MAX_EDGES_K3:
-            raise SearchGuardError(
-                f"k={k} search on {g.m} edges exceeds the guard "
-                f"({MAX_EDGES_K3}); pass force=True to override"
-            )
+    _check_guard(g, k, force)
+    return prep
 
 
-def _search(n, m, eu, ev, order, k, fixed, parity, adj_start, adj_flat, twins):
+def _check_guard(g: Graph, k: int, force: bool):
+    if force:
+        return
+    if k == 2 and g.m > MAX_EDGES_K2:
+        raise SearchGuardError(
+            f"k=2 search on {g.m} edges exceeds the guard "
+            f"({MAX_EDGES_K2}); pass force=True to override"
+        )
+    if k >= 3 and g.m > MAX_EDGES_K3:
+        raise SearchGuardError(
+            f"k={k} search on {g.m} edges exceeds the guard "
+            f"({MAX_EDGES_K3}); pass force=True to override"
+        )
+
+
+def _search(n, m, eu, ev, order, k, fixed, parity, nbrs, twins):
     """Backtracking search for a proper edge weighting.
 
     Edges are assigned in ``order``; weight values are tried in
     ascending order, so the first hit is the lexicographically smallest
     weighting with respect to ``order``.  A partial assignment is pruned
-    as soon as a vertex with all incident edges assigned conflicts with
-    a saturated neighbor or violates its parity constraint.
+    as soon as a saturated vertex (one with all incident edges assigned)
+    conflicts with a saturated neighbor or violates its parity
+    constraint.
 
     fixed[e] > 0 pins edge e to that weight; parity[v] in {-1, 0, 1}
-    requires no constraint / an even color / an odd color at v.
+    requires no constraint / an even color / an odd color at v; nbrs[v]
+    is the bitmask of v's neighbours.
 
     ``twins`` is None or the ``(before, after)`` chains of
     ``_twin_chains``; with chains, only weightings whose sums never
     decrease along a chain are searched.  Pass them only to a search
     with no pins and no parities.
 
-    Returns a per-edge-id weight list, or None.
+    The search is one loop, with no call per tried weight.  ``cur[pos]``
+    is the weight at position ``pos`` of ``order``; the vertex sums
+    ``csum``, the counts ``rem`` of unassigned edges at each vertex and
+    the bitmasks ``done[c]`` of the saturated vertices with sum c are
+    updated and undone in place.  Only the ends that an edge saturates
+    are checked, and a dead end undoes its way straight back to the
+    last free edge with a weight left to try.
+
+    Returns a per-edge-id weight list, rebuilt from ``cur``, or None.
     """
     if m == 0:
         return []
-    w = [0] * m
-    rem = [adj_start[v + 1] - adj_start[v] for v in range(n)]
+    rem = [nb.bit_count() for nb in nbrs]
     csum = [0] * n
+    # sums index done; 4n holds every sum at k <= 3 (at most 3(n - 1)),
+    # and it doubles until it holds any larger sum that comes up, so its
+    # size follows the sums met, not k
+    cap = 4 * n
+    done = [0] * cap
     cur = [0] * m
-
-    def proper_ok(x):
-        cx = csum[x]
-        if parity[x] >= 0 and (cx & 1) != parity[x]:
-            return False
-        for i in range(adj_start[x], adj_start[x + 1]):
-            y = adj_flat[i]
-            if rem[y] == 0 and csum[y] == cx:
-                return False
-        return True
-
-    before, after = twins or ((), ())
-
-    def ordered_ok(x):
-        # x is saturated; reject it if its class predecessor must end
-        # above it or its successor below it: each open edge adds 1..k,
-        # so y ends in csum[y] + rem[y] .. csum[y] + k * rem[y]
-        cx = csum[x]
-        y = before[x]
-        if csum[y] + rem[y] > cx:
-            return False
-        y = after[x]
-        if csum[y] + k * rem[y] < cx:
-            return False
-        return proper_ok(x)
-
-    saturated_ok = proper_ok if twins is None else ordered_ok
-
-    def try_assign(e, wt):
-        u = eu[e]
-        v = ev[e]
-        w[e] = wt
-        csum[u] += wt
-        csum[v] += wt
-        rem[u] -= 1
-        rem[v] -= 1
-        if (rem[u] == 0 and not saturated_ok(u)) or (
-            rem[v] == 0 and not saturated_ok(v)
-        ):
-            w[e] = 0
-            csum[u] -= wt
-            csum[v] -= wt
-            rem[u] += 1
-            rem[v] += 1
-            return False
-        return True
-
+    before, after = twins or (None, None)
     pos = 0
+    wt = 0  # the weight at pos when the search comes back to it, else 0
     while True:
         e = order[pos]
-        prev = cur[pos]
-        if prev:
-            u = eu[e]
-            v = ev[e]
-            w[e] = 0
-            csum[u] -= prev
-            csum[v] -= prev
-            rem[u] += 1
-            rem[v] += 1
-        f = fixed[e]
-        chosen = 0
-        if f:
-            if prev == 0 and try_assign(e, f):
-                chosen = f
+        u = eu[e]
+        v = ev[e]
+        if wt:
+            cu = csum[u] - wt
+            cv = csum[v] - wt
+            su = not rem[u]
+            sv = not rem[v]
+            if su:
+                done[csum[u]] ^= 1 << u
+            if sv:
+                done[csum[v]] ^= 1 << v
+            wt += 1
+            top = k
         else:
-            wt = prev + 1
-            while wt <= k:
-                if try_assign(e, wt):
-                    chosen = wt
-                    break
+            rem[u] -= 1
+            rem[v] -= 1
+            cu = csum[u]
+            cv = csum[v]
+            su = not rem[u]
+            sv = not rem[v]
+            top = fixed[e]
+            if top:
+                wt = top
+            else:
+                wt = 1
+                top = k
+        if su or sv:
+            if su and sv and cu == cv:
+                wt = top + 1  # adjacent and saturated together: no weight fits
+            hi = cu if cu > cv else cv
+            wt -= 1
+            while wt < top:
                 wt += 1
-        if chosen:
-            cur[pos] = chosen
-            pos += 1
-            if pos == m:
-                return list(w)
-        else:
-            cur[pos] = 0
-            pos -= 1
-            if pos < 0:
-                return None
+                while hi + wt >= cap:
+                    done += [0] * cap
+                    cap += cap
+                csum[u] = cx = cu + wt
+                csum[v] = cv + wt
+                # a saturated end must differ from its saturated
+                # neighbours, meet its parity and stay in order along its
+                # twin chain (each open edge at y adds 1..k, so y ends in
+                # csum[y] + rem[y] .. csum[y] + k * rem[y])
+                if su:
+                    if done[cx] & nbrs[u]:
+                        continue
+                    if parity[u] >= 0 and (cx & 1) != parity[u]:
+                        continue
+                    if before is not None and (
+                        csum[before[u]] + rem[before[u]] > cx
+                        or csum[after[u]] + k * rem[after[u]] < cx
+                    ):
+                        continue
+                if sv:
+                    cx = cv + wt
+                    if done[cx] & nbrs[v]:
+                        continue
+                    if parity[v] >= 0 and (cx & 1) != parity[v]:
+                        continue
+                    if before is not None and (
+                        csum[before[v]] + rem[before[v]] > cx
+                        or csum[after[v]] + k * rem[after[v]] < cx
+                    ):
+                        continue
+                break
+            else:
+                # no weight fits: undo back to the last free edge with a
+                # weight left to try
+                csum[u] = cu
+                csum[v] = cv
+                rem[u] += 1
+                rem[v] += 1
+                while True:
+                    pos -= 1
+                    if pos < 0:
+                        return None
+                    e = order[pos]
+                    wt = cur[pos]
+                    if wt < k and not fixed[e]:
+                        break
+                    u = eu[e]
+                    v = ev[e]
+                    if not rem[u]:
+                        done[csum[u]] ^= 1 << u
+                    if not rem[v]:
+                        done[csum[v]] ^= 1 << v
+                    csum[u] -= wt
+                    csum[v] -= wt
+                    rem[u] += 1
+                    rem[v] += 1
+                continue
+            if su:
+                done[cu + wt] |= 1 << u
+            if sv:
+                done[cv + wt] |= 1 << v
+        csum[u] = cu + wt
+        csum[v] = cv + wt
+        cur[pos] = wt
+        pos += 1
+        if pos == m:
+            w = [0] * m
+            for e, wt in zip(order, cur):
+                w[e] = wt
+            return w
+        wt = 0
 
 
 def _exists(g: Graph, k: int, fixed, parity, prep, twins=None):
     # pinned edges first: the pinned prefix is one linear pass, and every
     # vertex saturates no later among the free edges than in BFS order
-    eu, ev, bfs, adj_start, adj_flat = prep
-    pinned = [e for e in range(g.m) if fixed[e]]
-    order = pinned + [e for e in bfs if not fixed[e]] if pinned else bfs
-    return _search(
-        g.n, g.m, eu, ev, order, k, fixed, parity, adj_start, adj_flat, twins
-    )
+    eu, ev, bfs, nbrs = prep
+    if any(fixed):
+        order = [e for e in range(g.m) if fixed[e]]
+        order += [e for e in bfs if not fixed[e]]
+    else:
+        order = bfs
+    return _search(g.n, g.m, eu, ev, order, k, fixed, parity, nbrs, twins)
 
 
 def find_weighting(
@@ -320,9 +376,8 @@ def find_weighting(
     one that trying all of ``1 .. k`` at each edge would make too.
     """
     cons = cons or SearchConstraints()
-    _check_search_pre(g, k, force)
+    prep = _search_inputs(g, k, force)
     fixed, parity = _constraint_arrays(g, k, cons)
-    prep = _prep(g)
     w = _exists(g, k, fixed, parity, prep)
     if w is None:
         return None
@@ -354,11 +409,11 @@ def has_weighting(
 ) -> bool:
     """Existence-only variant of ``find_weighting`` (no canonicalization)."""
     cons = cons or SearchConstraints()
-    _check_search_pre(g, k, force)
+    prep = _search_inputs(g, k, force)
     fixed, parity = _constraint_arrays(g, k, cons)
     free = not cons.fixed_weights and not cons.parity
-    twins = _twin_chains(g) if free else None
-    return _exists(g, k, fixed, parity, _prep(g), twins) is not None
+    twins = _twin_chains(prep[3]) if free else None
+    return _exists(g, k, fixed, parity, prep, twins) is not None
 
 
 def mu_exact(g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False) -> int:
@@ -367,7 +422,10 @@ def mu_exact(g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False) -> int:
     Disconnected graphs take the maximum over components; components
     with fewer than three vertices are rejected.
     """
-    comps = connected_components(g)
+    # the BFS of _prep settles connectivity; only a disconnected graph
+    # is split into its components
+    prep = _prep(g) if g.n else None
+    comps = [list(range(g.n))] if prep else connected_components(g)
     if not comps:
         raise GraphError("mu is undefined for the empty graph")
     best = 0
@@ -377,18 +435,19 @@ def mu_exact(g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False) -> int:
                 f"component {comp} has fewer than three vertices; "
                 "mu is undefined"
             )
-        sub = induced_subgraph(g, comp)[0] if len(comps) > 1 else g
-        best = max(best, _mu_connected(sub, k_max, force, _prep(sub))[0])
+        sub = g if prep else induced_subgraph(g, comp)[0]
+        best = max(best, _mu_connected(sub, k_max, force, prep or _prep(sub))[0])
     return best
 
 
 def _mu_connected(g: Graph, k_max: int, force: bool, prep):
-    """mu of a connected graph and a proper mu-weighting (per edge id)."""
+    """mu of a connected graph on at least three vertices, given
+    ``prep = _prep(g)``, and a proper mu-weighting (per edge id)."""
     no_parity = [-1] * g.n
     no_fixed = [0] * g.m
-    twins = _twin_chains(g)
+    twins = _twin_chains(prep[3])
     for k in range(1, k_max + 1):
-        _check_search_pre(g, k, force)
+        _check_guard(g, k, force)
         w = _exists(g, k, no_fixed, no_parity, prep, twins)
         if w is not None:
             return k, w
@@ -405,10 +464,10 @@ def _mu_witness(
     """``find_weighting(g, mu_exact(g, k_max, force), force=force)``,
     without repeating the search that settled mu: its completion starts
     the canonicalisation, so the witness is the same."""
-    if g.n < 3 or not is_connected(g):
+    prep = _prep(g) if g.n >= 3 else None
+    if prep is None:
         # the witness search refuses such a graph; raise as it does
         return find_weighting(g, mu_exact(g, k_max, force), force=force)
-    prep = _prep(g)
     k, w = _mu_connected(g, k_max, force, prep)
     return _lex_least(g, k, [0] * g.m, [-1] * g.n, prep, w)
 

@@ -165,6 +165,34 @@ def test_weight_refuses_options_the_method_does_not_take(capsys, argv, flag):
     assert f"does not take {flag}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["weight", "path:4", "--method", "oracle", "--k", "0"], "--k"),
+        (["weight", "path:4", "--method", "oracle", "--k", "-2"], "--k"),
+        (["mu", "path:4", "--kmax", "0"], "--kmax"),
+        (["mu", "path:4", "--kmax", "-1"], "--kmax"),
+    ],
+)
+def test_alphabet_sizes_below_one_are_parse_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_PARSE, "")
+    assert f"argument {flag}: must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "source, vertex", [("kpart:2,2", "99"), ("theta:2,2,2", "-6"), ("theta:2,2,2", "-1")]
+)
+def test_weight_dominant_vertex_out_of_range(capsys, source, vertex):
+    code, out, err = run(
+        capsys, "weight", source, "--method", "dominant", "--vertex", vertex
+    )
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert f"vertex {vertex} is not in 0.." in err
+
+
 def test_weight_product_force_reaches_factor_searches(capsys):
     # C27 needs a k = 3 search on 27 edges, above the guard
     code, _, err = run(

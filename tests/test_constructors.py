@@ -298,6 +298,13 @@ def test_dominant_preconditions():
         dominant_vertex_weighting(clique_graph(4), 0)  # not bipartite
 
 
+@pytest.mark.parametrize("v", [99, 4, -1, -6])
+def test_dominant_vertex_out_of_range(v):
+    # kpart:2,2 has vertices 0..3; a negative id is not read from the end
+    with pytest.raises(PreconditionError, match=r"not in 0\.\.3"):
+        dominant_vertex_weighting(complete_multipartite([2, 2]), v)
+
+
 def test_all_constructor_outputs_reverified():
     # belt and braces beyond the constructors' internal certification
     for name, g, wg, h, wh in product_instances()[:5]:

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from vcew import oracle
+from vcew import graph, oracle
 from vcew.families import (
     clique_graph,
     cycle_graph,
@@ -72,6 +73,33 @@ def test_constraints_fixed_and_parity():
     assert not has_weighting(g, 2, SearchConstraints(parity=parity))
     w2 = find_weighting(g, 2, SearchConstraints(parity={0: "odd"}))
     assert induced_coloring(g, w2).colors[0] % 2 == 1
+
+
+@pytest.mark.parametrize("pin", [1.5, 1.0, True, "1", None])
+def test_pins_must_be_integers(pin):
+    g = Graph(3, [(0, 1), (1, 2)])
+    cons = SearchConstraints(fixed_weights={0: pin})
+    with pytest.raises(ValueError, match="not an integer"):
+        find_weighting(g, 2, cons)
+    with pytest.raises(ValueError, match="not an integer"):
+        has_weighting(g, 2, cons)
+
+
+def test_sum_table_grows_with_the_sums_not_with_k():
+    # the kernel's table of saturated vertices by sum grows with the sums
+    # it meets, not with k; both witnesses use no weight above 5
+    for g in (cycle_graph(5), clique_graph(6)):
+        assert find_weighting(g, 10**9) == EdgeWeighting(
+            10**9, find_weighting(g, 5).weights
+        ), g.edges
+    # a pinned weight far above the table's first size saturates a leaf
+    # at once; the table grows to hold its sum
+    path = Graph(3, [(0, 1), (1, 2)])
+    pins = SearchConstraints(fixed_weights={0: 50, 1: 51})
+    assert find_weighting(path, 100, pins) == EdgeWeighting(100, (50, 51))
+    path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    pins = SearchConstraints(fixed_weights={0: 60, 1: 60, 2: 60})
+    assert not has_weighting(path4, 100, pins)  # sums 60, 120, 120, 60
 
 
 def test_mu_exact_component_rules():
@@ -234,6 +262,10 @@ def test_find_weighting_searches_no_more_than_per_weight_rescans(monkeypatch):
 # twin-class symmetry breaking in unconstrained searches
 
 
+def _twin_chains(g):
+    return oracle._twin_chains(oracle._prep(g)[3])
+
+
 def _chains(twins):
     """The twin classes of ``_twin_chains``' output, each walked from
     its first vertex."""
@@ -251,16 +283,16 @@ def _chains(twins):
 
 
 def test_twin_chains_unit_cases():
-    assert _chains(oracle._twin_chains(clique_graph(6))) == [(0, 1, 2, 3, 4, 5)]
+    assert _chains(_twin_chains(clique_graph(6))) == [(0, 1, 2, 3, 4, 5)]
     star = make("kpart:1,5")  # centre 0, leaves 1..5
-    assert _chains(oracle._twin_chains(star)) == [(1, 2, 3, 4, 5)]
-    assert oracle._twin_chains(cycle_graph(5)) is None
+    assert _chains(_twin_chains(star)) == [(1, 2, 3, 4, 5)]
+    assert _twin_chains(cycle_graph(5)) is None
     k23 = make("kpart:2,3")  # parts {0, 1} and {2, 3, 4}
-    assert _chains(oracle._twin_chains(k23)) == [(0, 1), (2, 3, 4)]
+    assert _chains(_twin_chains(k23)) == [(0, 1), (2, 3, 4)]
     # true twins 0, 1 (adjacent, one common neighbour) and false twins
     # 3, 4 (two pendant leaves of vertex 2)
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)])
-    assert _chains(oracle._twin_chains(g)) == [(0, 1), (3, 4)]
+    assert _chains(_twin_chains(g)) == [(0, 1), (3, 4)]
 
 
 def _chain_sums_sorted(g, twins, w):
@@ -285,7 +317,7 @@ def test_twin_pruning_keeps_existence_on_small_graphs():
             relabelled = Graph(n, [(perm[u], perm[v]) for u, v in base.edges])
             for g in (base, relabelled):
                 prep = oracle._prep(g)
-                twins = oracle._twin_chains(g)
+                twins = _twin_chains(g)
                 if twins is None:
                     continue
                 for k in (1, 2, 3):
@@ -346,3 +378,64 @@ def test_mu_witness_is_the_canonical_witness_of_mu(monkeypatch):
     calls = _count_searches(monkeypatch)
     find_weighting(g, mu_exact(g))
     assert one_step < calls[0]
+
+
+# ---------------------------------------------------------------------------
+# pins on the search tree: the kernel's first completions, not only the
+# canonical witnesses, so a change in the order in which edges or weights
+# are tried shows up here even where the witnesses stay the same
+
+
+def _completions_digest(graphs):
+    """SHA-256 over the raw ``_exists`` completion (the first one found,
+    not the canonical one) of every graph at k = 1..3: unconstrained,
+    with its twin chains if it has any, and under seeded pins and
+    parities."""
+    rng = random.Random(2004)
+    digest = hashlib.sha256()
+    for g in graphs:
+        prep = oracle._prep(g)
+        twins = _twin_chains(g)
+        for k in (1, 2, 3):
+            for chains in (None, twins) if twins else (None,):
+                got = oracle._exists(g, k, [0] * g.m, [-1] * g.n, prep, chains)
+                digest.update(f"{got}\n".encode())
+            pins = {e: rng.randint(1, k) for e in rng.sample(range(g.m), 2)}
+            parity = {
+                v: rng.choice(("odd", "even")) for v in rng.sample(range(g.n), 2)
+            }
+            fixed, par = oracle._constraint_arrays(
+                g, k, SearchConstraints(fixed_weights=pins, parity=parity)
+            )
+            got = oracle._exists(g, k, fixed, par, prep)
+            digest.update(f"{got}\n".encode())
+    return digest.hexdigest()
+
+
+def test_search_tree_is_pinned():
+    graphs = [g for n in range(3, 8) for g in enumerate_connected(n)]
+    assert len(graphs) == 994
+    assert _completions_digest(graphs) == (
+        "2d5e9cb4b768533b542e23cdef070401ec94a47167d2293bf8d3433259836b58"
+    )
+
+
+def test_mu_exact_runs_at_most_two_bfs_passes(monkeypatch):
+    # one BFS from vertex 0 both orders the edges and tells whether the
+    # graph is connected; none is repeated per alphabet size
+    calls = [0]
+    bfs = graph.distances
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "distances", counted)
+    monkeypatch.setattr(oracle, "distances", counted)
+    graphs = [g for n in (3, 4, 5, 6) for g in enumerate_connected(n)]
+    graphs += [theta_graph([3, 4, 5]), cycle_graph(11), clique_graph(6)]
+    graphs += [make("product(cycle:4,cycle:5)")]
+    for g in graphs:
+        calls[0] = 0
+        mu_exact(g)
+        assert calls[0] <= 2, (g.edges, calls[0])
