@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .graph import (
     Graph,
-    GraphError,
     bipartition,
     blocks_and_cut_vertices,
     cartesian_product,

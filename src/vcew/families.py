@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .formats import MAX_EDGES, MAX_VERTICES
-from .graph import Graph, GraphError, cartesian_product, is_connected
+from .graph import (
+    Graph,
+    GraphError,
+    cartesian_product,
+    is_connected,
+    neighbor_masks,
+)
 
 
 class FamilyError(ValueError):
@@ -200,8 +206,10 @@ def make(spec: str) -> Graph:
 
 def split_product_spec(s: str):
     """The factor specs ``(A, B)`` of a whitespace-free ``product(A,B)``
-    spec, split at the comma outside all parentheses; None when ``s`` is
-    not a product spec.  Raises FamilyError when there is no such comma."""
+    spec, split at the first comma outside all parentheses that a letter
+    follows (family names start with a letter, arguments are integers,
+    so A may take several arguments); None when ``s`` is not a product
+    spec.  Raises FamilyError when there is no such comma."""
     if not (s.startswith("product(") and s.endswith(")")):
         return None
     inner = s[len("product("):-1]
@@ -211,7 +219,7 @@ def split_product_spec(s: str):
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
+        elif ch == "," and depth == 0 and inner[i + 1:i + 2].isalpha():
             return inner[:i], inner[i + 1:]
     raise FamilyError(f"product spec needs two comma-separated factors: {s!r}")
 
@@ -491,14 +499,8 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism test for small graphs (used by generator validation)."""
     if g.n != h.n or g.m != h.m:
         return False
-    gm = [0] * g.n
-    hm = [0] * h.n
-    for u, v in g.edges:
-        gm[u] |= 1 << v
-        gm[v] |= 1 << u
-    for u, v in h.edges:
-        hm[u] |= 1 << v
-        hm[v] |= 1 << u
+    gm = neighbor_masks(g)
+    hm = neighbor_masks(h)
     cg, gkey = _wl_colors(gm, g.n)
     ch, hkey = _wl_colors(hm, h.n)
     if gkey != hkey:

@@ -148,6 +148,12 @@ def degree_sequence(g: Graph):
     return sorted(g.degrees, reverse=True)
 
 
+def neighbor_masks(g: Graph):
+    """Each vertex's neighbors as a bitmask: bit u of entry v is set iff
+    u and v are adjacent."""
+    return [sum([1 << u for u, _ in adj]) for adj in g.adjacency]
+
+
 def distances(g: Graph, start: int, removed=()):
     """BFS distances from ``start`` in g minus the vertices ``removed``.
 
@@ -414,10 +420,10 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
-    return _flow_connectivity(g.n, *_csr_adjacency(g))
+    return _flow_connectivity(g)
 
 
-def _flow_connectivity(n, adj_start, adj_flat):
+def _flow_connectivity(g: Graph):
     """Vertex connectivity of a connected non-complete graph.
 
     Max-flow with unit vertex capacities (``_st_flow``) from a fixed
@@ -445,21 +451,20 @@ def _flow_connectivity(n, adj_start, adj_flat):
     targets in id order instead skips almost nothing on regular graphs:
     ``hypercube:5`` would run 35 of its 36 flows, against 21.
     """
-    neighbors = [
-        frozenset(adj_flat[adj_start[v]:adj_start[v + 1]]) for v in range(n)
-    ]
-    v0 = min(range(n), key=lambda v: adj_start[v + 1] - adj_start[v])
-    best = adj_start[v0 + 1] - adj_start[v0]
-    net = _split_network(n, adj_start, adj_flat, neighbors)
+    n = g.n
+    v0 = min(range(n), key=g.degrees.__getitem__)
+    best = g.degrees[v0]
+    net = _split_network(g)
+    slot = net[3]  # slot[v]: v's neighbors, the keys of a dict
 
     linked = [False] * n
     near = [0] * n
-    fresh = [v0, *neighbors[v0]]  # linked, not yet counted in near
+    fresh = [v0, *slot[v0]]  # linked, not yet counted in near
     for v in fresh:
         linked[v] = True
     while True:
         while fresh:
-            for w in neighbors[fresh.pop()]:
+            for w in slot[fresh.pop()]:
                 near[w] += 1
                 if near[w] >= best and not linked[w]:
                     linked[w] = True
@@ -473,48 +478,50 @@ def _flow_connectivity(n, adj_start, adj_flat):
         linked[t] = True
         fresh.append(t)
 
-    nb = sorted(neighbors[v0])
+    nb = sorted(slot[v0])
     for i in range(len(nb)):
         for j in range(i + 1, len(nb)):
-            if nb[j] not in neighbors[nb[i]]:
+            if nb[j] not in slot[nb[i]]:
                 best = min(best, _st_flow(net, nb[i], nb[j], best))
     return best
 
 
-def _split_network(n, adj_start, adj_flat, neighbors):
+def _split_network(g: Graph):
     """The node-split flow network of a graph, built once per
     ``_flow_connectivity`` call and shared by all its ``_st_flow`` calls.
 
     Vertex v becomes an in-node v and an out-node v + n joined by arc
-    2v, adjacency slot i (v -> u) becomes arc 2n + 2i from v + n to u,
-    and arc a ^ 1 is the residual of arc a.  Every arc has capacity 1:
-    with s and t non-adjacent, conservation at the unit split arcs keeps
-    any feasible flow at most 1 on every arc.
+    2v, the i-th adjacency entry (v -> u), counted across all vertices,
+    becomes arc 2n + 2i from v + n to u, and arc a ^ 1 is the residual of
+    arc a.  Every arc has capacity 1: with s and t non-adjacent,
+    conservation at the unit split arcs keeps any feasible flow at most
+    1 on every arc.
     """
-    nn = 2 * n
-    head = [0] * (nn + 2 * len(adj_flat))
+    n = g.n
+    head = []
     for v in range(n):
-        head[2 * v] = v + n
-        head[2 * v + 1] = v
-        for i in range(adj_start[v], adj_start[v + 1]):
-            head[nn + 2 * i] = adj_flat[i]
-            head[nn + 2 * i + 1] = v + n
-    # links[x]: (arc, head) for every arc leaving node x
-    links = [[] for _ in range(nn)]
-    for a, y in enumerate(head):
-        links[head[a ^ 1]].append((a, y))
-    # slot[x][t]: the arc from out-node x to in-node t
-    slot = [
-        {adj_flat[i]: nn + 2 * i for i in range(adj_start[v], adj_start[v + 1])}
-        for v in range(n)
-    ]
-    template = [1, 0] * (n + len(adj_flat))
-    unseen = [-1] * nn
+        head += (v + n, v)
+    # links[x]: (arc, head) for every arc leaving node x, by arc id
+    links = [[(2 * v, v + n)] for v in range(n)]
+    links += [[(2 * v + 1, v)] for v in range(n)]
+    # slot[v][u]: the arc from out-node v + n to in-node u, in the
+    # adjacency order of v; its keys are the only neighbor sets
+    slot = []
+    a = 2 * n
+    for v, adj in enumerate(g.adjacency):
+        out = v + n
+        arcs = {}
+        for u, _ in adj:
+            head += (u, out)
+            links[out].append((a, u))
+            links[u].append((a + 1, out))
+            arcs[u] = a
+            a += 2
+        slot.append(arcs)
+    template = [1, 0] * (a // 2)
+    unseen = [-1] * (2 * n)
     # the parent and queue lists every _st_flow call reuses
-    return (
-        n, adj_start, adj_flat, neighbors, head, links, slot, template,
-        unseen, unseen[:], [0] * nn,
-    )
+    return n, head, links, slot, template, unseen, unseen[:], [0] * (2 * n)
 
 
 def _st_flow(net, s, t, cutoff):
@@ -527,20 +534,17 @@ def _st_flow(net, s, t, cutoff):
     preallocated parent and queue lists, each stopping as soon as it
     reaches t, grow it to the maximum or the cutoff.
     """
-    (n, adj_start, adj_flat, neighbors, head, links, slot, template,
-     unseen, parent, queue) = net
-    nn = 2 * n
+    n, head, links, slot, template, unseen, parent, queue = net
     cap = template[:]
     src = s + n
     snk = t
     flow = 0
-    nbrs_t = neighbors[t]
-    for i in range(adj_start[s], adj_start[s + 1]):
+    slot_t = slot[t]
+    for x, arc in slot[s].items():
         if flow == cutoff:
             break
-        x = adj_flat[i]
-        if x in nbrs_t:
-            for a in (nn + 2 * i, 2 * x, slot[x][t]):
+        if x in slot_t:
+            for a in (arc, 2 * x, slot[x][t]):
                 cap[a] = 0
                 cap[a ^ 1] = 1
             flow += 1
@@ -569,17 +573,3 @@ def _st_flow(net, s, t, cutoff):
             x = head[a ^ 1]
         flow += 1
     return flow
-
-
-def _csr_adjacency(g: Graph):
-    """Adjacency in CSR form ``(adj_start, adj_flat)``, the kernels' input.
-
-    The neighbors of v are ``adj_flat[adj_start[v]:adj_start[v + 1]]``,
-    in edge-id order.
-    """
-    adj_start = [0]
-    adj_flat = []
-    for v in range(g.n):
-        adj_flat.extend(u for u, _ in g.adjacency[v])
-        adj_start.append(len(adj_flat))
-    return adj_start, adj_flat

@@ -49,6 +49,7 @@ from .graph import (
     connected_components,
     distances,
     induced_subgraph,
+    neighbor_masks,
 )
 from .weighting import EdgeWeighting
 
@@ -116,8 +117,7 @@ def _prep(g: Graph):
                 bfs.append(eid)
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
-    nbrs = [sum([1 << y for y, _ in adj]) for adj in g.adjacency]
-    return eu, ev, bfs, nbrs
+    return eu, ev, bfs, neighbor_masks(g)
 
 
 def _twin_chains(nbrs):
@@ -422,6 +422,8 @@ def mu_exact(g: Graph, k_max: int = DEFAULT_K_MAX, force: bool = False) -> int:
     Disconnected graphs take the maximum over components; components
     with fewer than three vertices are rejected.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     # the BFS of _prep settles connectivity; only a disconnected graph
     # is split into its components
     prep = _prep(g) if g.n else None

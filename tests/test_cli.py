@@ -127,6 +127,15 @@ def test_weight_product_builds_the_product_twice(capsys, monkeypatch):
     assert is_proper(Graph(108, edges), w)
 
 
+def test_weight_product_first_factor_with_several_arguments(capsys):
+    code, out, _ = run(
+        capsys, "weight", "product(kpart:2,2,path:3)", "--method", "product"
+    )
+    assert code == EXIT_OK
+    edges, w = parse_weighting(out)
+    assert is_proper(Graph(12, edges), w)
+
+
 def test_weight_product_refuses_a_graph_file(capsys, tmp_path, monkeypatch):
     # a file whose name is a product spec holds its own graph, not the
     # product the name spells

@@ -116,9 +116,24 @@ def test_make_family_specs():
     assert (prod.n, prod.m) == (8, 12)
     nested = make("product(product(path:2,path:2),path:2)")
     assert graphs_isomorphic(nested, hypercube_graph(3))
-    for bad in ["", "path", "path:x", "path:", "frobnicate:3", "product(path:2)"]:
+    for bad in [
+        "", "path", "path:x", "path:", "frobnicate:3", "product(path:2)",
+        "product(path:3,)", "product(path:3,4)",
+    ]:
         with pytest.raises(FamilyError):
             make(bad)
+
+
+def test_product_factor_may_take_several_arguments():
+    # the factors split at the first top-level comma a family name follows
+    for a, b in [
+        ("theta:1,2,2", "path:2"),
+        ("kpart:2,2", "cycle:3"),
+        ("gpt:1,1,1,1,1,3", "path:3"),
+        ("product(theta:1,2,2,kpart:2,2)", "path:2"),
+        ("path:2", "product(kpart:2,2,theta:1,2,2)"),
+    ]:
+        assert make(f"product({a},{b})") == cartesian_product(make(a), make(b))
 
 
 def test_random_connected_bipartite_contract():

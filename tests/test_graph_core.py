@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -395,3 +396,38 @@ def test_flow_connectivity_skips_flows_menger_decides(monkeypatch, spec, kappa, 
     assert vertex_connectivity(g) == kappa
     assert _esfahanian_hakimi_pairs(g) == pairs
     assert calls[0] <= flows < pairs
+
+
+def test_flow_calls_are_pinned(monkeypatch):
+    # every (s, t, cutoff, result) of the kappa kernel's flows on the
+    # products of the connected graphs on 3..5 vertices and three larger
+    # products: a rewrite of the kernel must run exactly the same flows
+    calls = []
+    st_flow = graph._st_flow
+
+    def recorded(net, s, t, cutoff):
+        flow = st_flow(net, s, t, cutoff)
+        calls.append((s, t, cutoff, flow))
+        return flow
+
+    monkeypatch.setattr(graph, "_st_flow", recorded)
+    pool = [g for n in range(3, 6) for g in enumerate_connected(n)]
+    graphs = [
+        cartesian_product(g, h)
+        for g, h in itertools.combinations_with_replacement(pool, 2)
+    ]
+    assert len(graphs) == 435
+    graphs += [
+        make(spec)
+        for spec in (
+            "hypercube:5",
+            "product(cycle:6,cycle:6)",
+            "product(clique:4,path:6)",
+        )
+    ]
+    for g in graphs:
+        vertex_connectivity(g)
+    assert len(calls) == 3694
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
+        "287bb840d1d4123a56a5f4bd444984abc014fb5472efa46d4cfb7287e5ffd3f7"
+    )

@@ -118,6 +118,9 @@ def test_search_preconditions():
         has_weighting(Graph(4, [(0, 1), (2, 3)]), 2)
     with pytest.raises(ValueError):
         has_weighting(path_graph(3), 0)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be positive"):
+            mu_exact(path_graph(3), k_max=k_max)
 
 
 def test_search_guard():
