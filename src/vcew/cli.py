@@ -215,6 +215,10 @@ def _cmd_verify(args) -> int:
     print(f"seconds={report.seconds:.3f}")
     for desc, expected, got in report.failures:
         print(f"failure={desc} expected={expected} got={got}")
+    if not report.instances:
+        raise CliError(
+            EXIT_PRECONDITION, f"{report.theorem} checked no instances with these options"
+        )
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -241,7 +245,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of ``--k`` and ``--kmax``: an integer >= 1."""
+    """The argparse type of ``--k``, ``--kmax`` and the sweep bounds
+    ``--max-edges``, ``--max-vertices`` and ``--samples``: an integer
+    >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -288,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a theorem verification sweep")
     p_v.add_argument("--theorem", required=True, help=", ".join(theorem_ids()))
-    p_v.add_argument("--max-edges", type=int, default=None)
-    p_v.add_argument("--max-vertices", type=int, default=None)
+    p_v.add_argument("--max-edges", type=_positive_int, default=None)
+    p_v.add_argument("--max-vertices", type=_positive_int, default=None)
     p_v.add_argument("--seed", type=int, default=None)
-    p_v.add_argument("--samples", type=int, default=None)
+    p_v.add_argument("--samples", type=_positive_int, default=None)
     p_v.set_defaults(fn=_cmd_verify)
 
     p_d = sub.add_parser("decompose", help="print a decomposition")

@@ -406,13 +406,17 @@ def vertex_connectivity(g: Graph) -> int:
     """Minimum number of vertex deletions that disconnect the graph.
 
     Complete graphs give n - 1; disconnected input gives 0.  Otherwise
-    the value is computed by vertex-capacity max-flow between a
-    min-degree vertex v0 and its non-neighbors, plus non-adjacent pairs
-    of its neighbors (Esfahanian--Hakimi).  A non-neighbor of v0 with at
-    least ``best`` (the smallest flow so far) neighbors that no set of
-    fewer than ``best`` vertices separates from v0 gets no flow: such a
-    set misses one of those neighbors, and v0 reaches the vertex through
-    it (Menger's theorem; see ``_flow_connectivity``).
+    the value is computed by vertex-capacity max-flow from a min-degree
+    vertex v0 to its non-neighbors, then from its neighbors with v0 and
+    the earlier neighbors removed (Even's source removal over the
+    Esfahanian--Hakimi pairs).  A target that Menger's theorem already
+    links to the source by ``best`` (the smallest flow so far) paths
+    gets no flow: it has ``best`` linked neighbors, or, from v0, a
+    two-step fan to linked non-neighbors makes up the difference.  Once
+    every non-neighbor of v0 is linked, every cut smaller than ``best``
+    contains v0, so the neighbor phase needs flows only to later
+    neighbors and stops after ``best`` sources (see
+    ``_flow_connectivity``).
     """
     if g.n <= 1:
         return 0
@@ -426,64 +430,145 @@ def vertex_connectivity(g: Graph) -> int:
 def _flow_connectivity(g: Graph):
     """Vertex connectivity of a connected non-complete graph.
 
-    Max-flow with unit vertex capacities (``_st_flow``) from a fixed
-    min-degree vertex v0 to each of its non-neighbors (the targets) and
-    between non-adjacent pairs of its neighbors (Esfahanian--Hakimi),
-    each flow cut off at the best value so far, ``best``, which starts
-    at the degree of v0.
+    Even's connectivity test (SIAM J. Comput. 4, 1975) with the sources
+    v0, a_1, a_2, ...: a fixed min-degree vertex v0, then its neighbors
+    in id order.  Step i removes R = {v0, a_1, ..., a_(i-1)} (none at
+    i = 0) by zeroing their split arcs in the capacity template, and
+    runs max-flows with unit vertex capacities (``_st_flow``) in G - R
+    from the source to its targets, each cut off at ``bound``, the best
+    value so far, ``best``, minus |R| = i.  ``best`` starts at the degree
+    of v0 and becomes i + the smallest flow of step i.
 
-    A target gets no flow when Menger's theorem already shows the flow
-    would return ``best``.  Call v *linked* when no set of fewer than
-    ``best`` vertices, avoiding v0 and v, separates v from v0:
+    Step 0: v0 to each of its non-neighbors.  A target gets no flow
+    when Menger's theorem already shows the flow would return
+    ``bound``.  Call v *linked* when no set of fewer than ``bound``
+    vertices of G - R, avoiding the source and v, separates v from the
+    source:
 
-    - v0 and its neighbors are linked;
-    - a target is linked once its flow has run and lowered ``best`` to
-      at most that flow;
-    - a vertex with at least ``best`` linked neighbors is linked: a set
-      of fewer than ``best`` vertices misses one of them, and v0
-      reaches v through it;
-    - ``best`` only falls, so a linked vertex stays linked.
+    - the source and its neighbors are linked;
+    - a target is linked once its flow has run, as the flow lowered
+      ``bound`` to at most itself;
+    - a vertex with at least ``bound`` linked neighbors is linked: a
+      set of fewer than ``bound`` vertices misses one of them, and the
+      source reaches v through it;
+    - at step 0, a target t with ``near[t]`` linked neighbors is linked
+      when ``bound - near[t]`` paths t-w-l share no vertex but t, each
+      w an unlinked neighbor and each l a linked non-neighbor of t
+      (``_two_step_fan``, Menger's fan lemma): with the direct edges
+      they are ``bound`` paths from t to distinct linked vertices, a
+      set of fewer than ``bound`` vertices misses one of them, and the
+      source reaches its end;
+    - ``bound`` only falls, so a linked vertex stays linked.
 
     ``near[v]`` counts the linked neighbors of v.  The loop takes the
     unlinked target t with the fewest, lowest id on ties, runs its flow
-    only if ``near[t] < best`` (which fails only after ``best`` fell),
-    links t and then every vertex whose count reaches ``best``.  Taking
-    targets in id order instead skips almost nothing on regular graphs:
-    ``hypercube:5`` would run 35 of its 36 flows, against 21.
+    only if ``near[t] < bound`` (which fails only after ``bound`` fell)
+    and no fan links t, links t and then every vertex whose count
+    reaches ``bound``.  Taking targets in id order instead skips less
+    on regular graphs: ``hypercube:5`` would run 19 of its 36
+    Esfahanian--Hakimi flows, against 12.
+
+    Steps i >= 1: a_i to each later neighbor a_j of v0 that is not
+    adjacent to it, with the same linked loop.  After step 0 every
+    non-neighbor of v0 is linked, so a cut S smaller than ``best`` (if
+    any) contains v0.  Take S minimum: each component of G - S holds a
+    neighbor of every vertex of S, v0 included.  S cannot hold all
+    deg(v0) >= ``best`` neighbors; if a_i is the first it misses, S
+    holds R, and S - R separates a_i from a later neighbor in another
+    component, in G - R.  That flow is at most |S| - i, so step i finds
+    |S|; and no step can find less than kappa, as R together with a cut
+    of G - R disconnects G.  Since S holds R, the steps stop once
+    i >= ``best``.
     """
     n = g.n
     v0 = min(range(n), key=g.degrees.__getitem__)
     best = g.degrees[v0]
     net = _split_network(g)
     slot = net[3]  # slot[v]: v's neighbors, the keys of a dict
+    template = net[4]
 
-    linked = [False] * n
-    near = [0] * n
-    fresh = [v0, *slot[v0]]  # linked, not yet counted in near
-    for v in fresh:
-        linked[v] = True
-    while True:
-        while fresh:
-            for w in slot[fresh.pop()]:
-                near[w] += 1
-                if near[w] >= best and not linked[w]:
-                    linked[w] = True
-                    fresh.append(w)
-        rest = [v for v in range(n) if not linked[v]]
-        if not rest:
+    sources = [v0, *sorted(slot[v0])]
+    for i, a in enumerate(sources):
+        if i >= best:
             break
-        t = min(rest, key=near.__getitem__)
-        if near[t] < best:
-            best = min(best, _st_flow(net, v0, t, best))
-        linked[t] = True
-        fresh.append(t)
-
-    nb = sorted(slot[v0])
-    for i in range(len(nb)):
-        for j in range(i + 1, len(nb)):
-            if nb[j] not in slot[nb[i]]:
-                best = min(best, _st_flow(net, nb[i], nb[j], best))
+        slot_a = slot[a]
+        if i:
+            template[2 * sources[i - 1]] = 0
+            targets = [b for b in sources[i + 1:] if b not in slot_a]
+        else:
+            targets = [b for b in range(n) if b != a and b not in slot_a]
+        if not targets:
+            continue
+        bound = best - i  # the bound on a flow in G - R
+        linked = [False] * n
+        near = [0] * n
+        for r in sources[:i]:  # R: linked, so never counted or a target
+            linked[r] = True
+        fresh = [a, *[u for u in slot_a if not linked[u]]]  # not yet counted
+        for v in fresh:
+            linked[v] = True
+        while True:
+            while fresh:
+                for w in slot[fresh.pop()]:
+                    near[w] += 1
+                    if near[w] >= bound and not linked[w]:
+                        linked[w] = True
+                        fresh.append(w)
+            rest = [b for b in targets if not linked[b]]
+            if not rest:
+                break
+            t = min(rest, key=near.__getitem__)
+            need = bound - near[t]
+            if need > 0 and not (i == 0 and _two_step_fan(slot, linked, t, need)):
+                bound = _st_flow(net, a, t, bound)
+            linked[t] = True
+            fresh.append(t)
+        best = i + bound
     return best
+
+
+def _two_step_fan(slot, linked, t, need):
+    """Whether ``need`` paths t-w-l share no vertex but t, each w an
+    unlinked neighbor of t and each l a linked vertex not adjacent to t.
+
+    A bipartite matching of the unlinked neighbors w of t to such l
+    along edges w-l, grown by BFS augmenting paths from each w in turn
+    until it has ``need`` pairs.
+    """
+    slot_t = slot[t]
+    free = [w for w in slot_t if not linked[w]]
+    match = {}  # l -> its w
+    size = 0
+    for k, root in enumerate(free):
+        if size + len(free) - k < need:
+            return False
+        back = {}  # a matched w -> (the w it was reached from, its l)
+        seen = set()
+        queue = [root]
+        found = None
+        for x in queue:
+            for l in slot[x]:
+                if linked[l] and l not in slot_t and l not in seen:
+                    seen.add(l)
+                    y = match.get(l)
+                    if y is None:
+                        found = x, l
+                        break
+                    back[y] = x, l
+                    queue.append(y)
+            if found:
+                break
+        if found:  # every l on the path moves back one w
+            x, l = found
+            while True:
+                match[l] = x
+                if x == root:
+                    break
+                x, l = back[x]
+            size += 1
+            if size == need:
+                return True
+    return False
 
 
 def _split_network(g: Graph):
@@ -526,13 +611,15 @@ def _split_network(g: Graph):
 
 def _st_flow(net, s, t, cutoff):
     """Number of internally vertex-disjoint s-t paths, at most ``cutoff``,
-    for non-adjacent s and t of the ``_split_network`` ``net``.
+    for non-adjacent s and t of the ``_split_network`` ``net``, avoiding
+    the vertices whose split arcs the template has zeroed.
 
     The capacities are reset by copying the network's template, the flow
-    starts from the paths s -> x -> t through common neighbors x
-    (vertex-disjoint, so a feasible flow), and BFS augmenting paths over
-    preallocated parent and queue lists, each stopping as soon as it
-    reaches t, grow it to the maximum or the cutoff.
+    starts from the paths s -> x -> t through common neighbors x that
+    are not removed (vertex-disjoint, so a feasible flow), and BFS
+    augmenting paths over preallocated parent and queue lists, each
+    stopping as soon as it reaches t, grow it to the maximum or the
+    cutoff.
     """
     n, head, links, slot, template, unseen, parent, queue = net
     cap = template[:]
@@ -543,7 +630,7 @@ def _st_flow(net, s, t, cutoff):
     for x, arc in slot[s].items():
         if flow == cutoff:
             break
-        if x in slot_t:
+        if x in slot_t and cap[2 * x]:
             for a in (arc, 2 * x, slot[x][t]):
                 cap[a] = 0
                 cap[a ^ 1] = 1

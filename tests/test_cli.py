@@ -305,6 +305,40 @@ def test_verify_refuses_options_the_sweep_does_not_take(capsys):
     assert "--seed" in err and "--max-edges" in err
 
 
+@pytest.mark.parametrize(
+    "theorem, option, value",
+    [
+        ("thm-2.4", "--samples", "-3"),
+        ("thm-2.4", "--samples", "0"),
+        ("soundness", "--max-vertices", "0"),
+        ("lemma-2.3", "--max-vertices", "-36"),
+        ("thm-4.2", "--max-edges", "0"),
+    ],
+)
+def test_verify_bounds_below_one_are_parse_errors(capsys, theorem, option, value):
+    # before, each ran an empty sweep and exited 0 with instances=0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", theorem, option, value])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_PARSE, "")
+    assert f"argument {option}: must be a positive integer, got {value}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma-2.3", "--max-vertices", "8"),  # below the 3 x 3 products
+        ("thm-4.2", "--max-edges", "4"),  # below the smallest theta graph
+        ("soundness", "--max-vertices", "2"),
+    ],
+)
+def test_verify_sweep_that_checks_nothing_exits_precondition(capsys, argv):
+    code, out, err = run(capsys, "verify", "--theorem", *argv)
+    assert code == EXIT_PRECONDITION
+    assert "instances=0" in out.splitlines()
+    assert f"{argv[0]} checked no instances" in err
+
+
 def test_verify_guard_error_exits_cap(capsys):
     # theta:1,5,21 has mu = 3, and its k = 3 search on 27 edges is above
     # the guard of 26 edges

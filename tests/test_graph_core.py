@@ -358,6 +358,164 @@ def test_vertex_connectivity_below_min_degree_matches_networkx():
         assert kappa == nx.node_connectivity(ref), g.edges
 
 
+def _graphs_cut_through_v0(count, seed):
+    """Seeded graphs with kappa < delta in which vertex 0, the lowest-id
+    vertex of minimum degree, lies in every minimum cut.
+
+    Two halves with no edge between them are joined through a separator
+    of s vertices that holds vertex 0.  Each half is (s + 1)-connected:
+    its vertices have at least (size + s - 1) / 2 neighbours inside it.
+    Vertex 0 has s + 1 neighbours in each half and degree d >= 2s + 2;
+    every other vertex has degree at least d, and the other separator
+    vertices have neighbours only in the halves and in vertex 0.  So a set
+    of at most s vertices that avoids vertex 0 leaves both halves joined
+    through it and every separator vertex attached, while the separator
+    disconnects the graph.
+    """
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        s = rng.randint(1, 3)
+        d = 2 * s + 2 + rng.randint(0, 1)
+        lo = max(s + 2, d + 2 - s)
+        sizes = [rng.randint(lo, lo + 3) for _ in range(2)]
+        n = s + sum(sizes)
+        order = list(range(1, n))
+        rng.shuffle(order)
+        sep = order[:s - 1]
+        halves = (order[s - 1:s - 1 + sizes[0]], order[s - 1 + sizes[0]:])
+        nbrs = [set() for _ in range(n)]
+
+        def join(u, v):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+
+        def grow(u, pool, degree):
+            pool = [v for v in pool if v != u and v not in nbrs[u]]
+            rng.shuffle(pool)
+            while len(nbrs[u]) < degree:
+                join(u, pool.pop())
+
+        p = rng.uniform(0.3, 0.8)
+        for half in halves:
+            for u, v in itertools.combinations(half, 2):
+                if rng.random() < p:
+                    join(u, v)
+            for u in half:
+                grow(u, half, (len(half) + s) // 2)
+        for half in halves:
+            for v in rng.sample(half, s + 1):
+                join(0, v)
+        grow(0, sep + halves[0] + halves[1], d)
+        for x in sep:
+            for half in halves:
+                join(x, rng.choice(half))
+            grow(x, halves[0] + halves[1], d)
+        for half in halves:
+            for u in half:
+                grow(u, half + sep, d)
+        edges = [(u, v) for u in range(n) for v in nbrs[u] if u < v]
+        rng.shuffle(edges)
+        graphs.append(Graph(n, edges))
+    return graphs
+
+
+def test_vertex_connectivity_with_v0_in_every_minimum_cut_matches_brute_force():
+    # the v0-to-target flows all exceed kappa here, so only the
+    # neighbour-pair phase (source removal) can find it
+    graphs = [g for g in _graphs_cut_through_v0(150, seed=1975) if g.n <= 14]
+    assert len(graphs) >= 20
+    for g in graphs:
+        kappa = _brute_force_kappa(g)
+        assert g.degrees[0] == min(g.degrees) and kappa < g.degrees[0], g.edges
+        assert all(
+            connected_without(g, cut)
+            for cut in itertools.combinations(range(1, g.n), kappa)
+        ), g.edges
+        assert vertex_connectivity(g) == kappa, g.edges
+
+
+def test_vertex_connectivity_with_v0_in_every_minimum_cut_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in _graphs_cut_through_v0(150, seed=1975) if g.n > 14]
+    assert len(graphs) >= 100
+    seen = set()
+    for g in graphs:
+        kappa = nx.node_connectivity(_networkx_graph(nx, g))
+        assert g.degrees[0] == min(g.degrees) and kappa < g.degrees[0], g.edges
+        assert vertex_connectivity(g) == kappa, g.edges
+        seen.add(kappa)
+    assert seen == {1, 2, 3}
+
+
+def _random_regular(n, d, rng):
+    """A random d-regular simple graph on n vertices (n * d even): pair
+    each of d copies of every vertex with a random allowed partner,
+    restarting on a dead end."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        edges = set()
+        while points:
+            u = points.pop(rng.randrange(len(points)))
+            allowed = [
+                j
+                for j, v in enumerate(points)
+                if v != u and (min(u, v), max(u, v)) not in edges
+            ]
+            if not allowed:
+                break
+            v = points.pop(rng.choice(allowed))
+            edges.add((min(u, v), max(u, v)))
+        if not points:
+            return sorted(edges)
+
+
+def _random_graphs(count, seed):
+    """Seeded graphs on 4..26 vertices, each shape in turn: G(n, p), two
+    dense blobs glued through a separator of 1..4 vertices, and random
+    regular graphs.  Edges are shuffled, so edge ids carry no order."""
+    rng = random.Random(seed)
+    graphs = []
+    for k in range(count):
+        n = rng.randint(4, 26)
+        if k % 3 == 0:
+            p = rng.uniform(0.15, 0.9)
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        elif k % 3 == 1:
+            order = list(range(n))
+            rng.shuffle(order)
+            s = rng.randint(1, min(4, n - 2))
+            sep, rest = order[:s], order[s:]
+            blobs = (rest[:len(rest) // 2], rest[len(rest) // 2:])
+            edges = [
+                e
+                for blob in blobs
+                for e in itertools.combinations(blob, 2)
+                if rng.random() < 0.8
+            ]
+            edges += [(x, v) for x in sep for v in order if v != x and rng.random() < 0.5]
+            edges = {(min(e), max(e)) for e in edges}
+        else:
+            d = rng.randint(2, min(n - 1, 7))
+            if n * d % 2:
+                d -= 1
+            edges = _random_regular(n, d, rng)
+        edges = list(edges)
+        rng.shuffle(edges)
+        graphs.append(Graph(n, edges))
+    return graphs
+
+
+def test_vertex_connectivity_matches_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    below = 0
+    for g in _random_graphs(300, seed=1984):
+        kappa = nx.node_connectivity(_networkx_graph(nx, g))
+        assert vertex_connectivity(g) == kappa, (g.n, g.edges)
+        below += 0 < kappa < min(g.degrees)
+    assert below >= 30
+
+
 def _esfahanian_hakimi_pairs(g):
     """The s-t pairs of Esfahanian--Hakimi from the lowest-id min-degree
     vertex v0: its non-neighbours, and its non-adjacent neighbour pairs."""
@@ -375,10 +533,10 @@ def _esfahanian_hakimi_pairs(g):
 @pytest.mark.parametrize(
     "spec, kappa, pairs, flows",
     [
-        ("hypercube:5", 5, 36, 21),
-        ("product(cycle:6,cycle:6)", 4, 37, 20),
-        ("product(path:5,path:7)", 2, 33, 5),
-        ("product(clique:4,path:6)", 4, 22, 13),
+        ("hypercube:5", 5, 36, 12),
+        ("product(cycle:6,cycle:6)", 4, 37, 13),
+        ("product(path:5,path:7)", 2, 33, 4),
+        ("product(clique:4,path:6)", 4, 22, 6),
     ],
 )
 def test_flow_connectivity_skips_flows_menger_decides(monkeypatch, spec, kappa, pairs, flows):
@@ -427,7 +585,7 @@ def test_flow_calls_are_pinned(monkeypatch):
     ]
     for g in graphs:
         vertex_connectivity(g)
-    assert len(calls) == 3694
+    assert len(calls) == 1615
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
-        "287bb840d1d4123a56a5f4bd444984abc014fb5472efa46d4cfb7287e5ffd3f7"
+        "d65609b9ac6aefbe6105868b342e45e1affd709417834056258f57b89750724b"
     )
